@@ -879,15 +879,24 @@ impl fmt::Debug for GlesBridge {
 
 /// Repacks rows with stride `row_bytes` (0 = already tight) into a tight
 /// buffer.
+///
+/// App data too short for the described rows is not an error here: the
+/// repack stops at the first row that does not fit, and the short result
+/// fails the vendor's own length check, which records `GL_INVALID_VALUE`.
 fn repack_tight(data: &[u8], width: usize, height: usize, bpp: usize, row_bytes: usize) -> Vec<u8> {
     let tight_row = width * bpp;
     if row_bytes == 0 || row_bytes == tight_row {
         return data.to_vec();
     }
-    let mut out = Vec::with_capacity(tight_row * height);
+    let mut out = Vec::with_capacity(tight_row.saturating_mul(height).min(data.len()));
     for row in 0..height {
-        let start = row * row_bytes;
-        out.extend_from_slice(&data[start..start + tight_row]);
+        let Some(src) = row
+            .checked_mul(row_bytes)
+            .and_then(|start| data.get(start..start.checked_add(tight_row)?))
+        else {
+            break;
+        };
+        out.extend_from_slice(src);
     }
     out
 }
@@ -935,6 +944,54 @@ mod tests {
         assert_eq!(tight[8], 2);
         // Already tight: pass-through.
         assert_eq!(repack_tight(&tight, 2, 2, 4, 0), tight);
+    }
+
+    #[test]
+    fn repack_tight_stops_at_the_first_short_row() {
+        // 3 rows of 8 bytes at a 12-byte stride need 32 bytes; with 30
+        // only two rows fit, and the short result is what the vendor's
+        // length check then rejects.
+        let data: Vec<u8> = (0..30).collect();
+        let out = repack_tight(&data, 2, 3, 4, 12);
+        assert_eq!(out, [&data[0..8], &data[12..20]].concat());
+        // A stride whose row offsets overflow usize copies what fits.
+        assert_eq!(repack_tight(&data, 1, 3, 4, usize::MAX), data[0..4]);
+        assert!(repack_tight(&[], 1 << 20, 1 << 20, 4, 1 << 23).is_empty());
+    }
+
+    #[test]
+    fn bad_sub_image_uploads_record_invalid_value_on_the_bridge() {
+        use cycada_gles::GlError;
+        use cycada_sim::Platform;
+        let app = crate::AppGl::boot_with_display(
+            Platform::CycadaIos,
+            cycada_gles::GlesVersion::V1,
+            Some((16, 16)),
+        )
+        .unwrap();
+        let (bridge, tid) = (app.cycada_device().unwrap().bridge(), app.tid());
+        let tex = app.create_texture(4, 4, TexFormat::Bgra, &[7u8; 64]).unwrap();
+        let frame = || {
+            app.clear(0.0, 0.0, 0.0, 1.0).unwrap();
+            app.draw_textured_quad(tex, -1.0, -1.0, 1.0, 1.0).unwrap();
+            app.render_hash().unwrap()
+        };
+        let before = frame();
+        // Too little data, tight rows.
+        app.update_texture(tex, 0, 0, 4, 4, TexFormat::Rgba, &[0; 4]).unwrap();
+        assert_eq!(bridge.get_error(tid).unwrap(), GlError::InvalidValue);
+        // `x + width` wraps u32.
+        app.update_texture(tex, u32::MAX, 0, 2, 1, TexFormat::Bgra, &[0; 8]).unwrap();
+        assert_eq!(bridge.get_error(tid).unwrap(), GlError::InvalidValue);
+        // APPLE_row_bytes rows of 32 bytes: 40 bytes miss the second row.
+        bridge.pixel_storei(tid, PixelStoreParam::UnpackRowBytesApple, 32).unwrap();
+        app.update_texture(tex, 0, 0, 4, 2, TexFormat::Bgra, &[0; 40]).unwrap();
+        assert_eq!(bridge.get_error(tid).unwrap(), GlError::InvalidValue);
+        assert_eq!(frame(), before, "rejected uploads left the texture untouched");
+        // 48 bytes is exactly enough.
+        app.update_texture(tex, 0, 0, 4, 2, TexFormat::Bgra, &[0; 48]).unwrap();
+        assert_eq!(bridge.get_error(tid).unwrap(), GlError::NoError);
+        assert_ne!(frame(), before);
     }
 
     #[test]

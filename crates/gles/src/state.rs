@@ -14,8 +14,10 @@ use std::fmt;
 use std::sync::Arc;
 
 use cycada_gpu::math::Mat4;
+use cycada_gpu::raster::Rect;
 use cycada_gpu::{
-    BlendMode, DrawClass, FenceCondition, FenceId, GpuDevice, Image, Pipeline, Rgba, Vertex,
+    BlendMode, DrawClass, FenceCondition, FenceId, GpuDevice, Image, Pipeline, PixelFormat, Rgba,
+    Vertex,
 };
 
 use crate::registry::{ApiFlavor, GlesVersion};
@@ -642,11 +644,12 @@ impl GlesContext {
         let bpp = format.bytes_per_pixel();
         if let Some(data) = data {
             let stride = self.pixel_store.unpack_stride(width as usize, bpp);
-            if data.len() < stride * (height as usize).saturating_sub(1) + width as usize * bpp {
+            if !unpack_fits(data, stride, width, height, bpp) {
                 self.record_error(GlError::InvalidValue);
                 return;
             }
-            unpack_into(&image, data, stride, bpp);
+            let rect = Rect { x: 0, y: 0, w: width, h: height };
+            unpack_into(&image, rect, format.pixel_format(), data, stride);
             self.device.charge_upload((width as u64) * (height as u64) * bpp as u64);
         } else {
             self.device.charge_upload(0);
@@ -686,21 +689,17 @@ impl GlesContext {
             self.record_error(GlError::InvalidOperation);
             return;
         };
-        if x + width > image.width() || y + height > image.height() {
+        let bpp = format.bytes_per_pixel();
+        let inside = |at: u32, len: u32, size: u32| at.checked_add(len).is_some_and(|end| end <= size);
+        if !inside(x, width, image.width())
+            || !inside(y, height, image.height())
+            || !unpack_fits(data, stride, width, height, bpp)
+        {
             self.record_error(GlError::InvalidValue);
             return;
         }
-        let bpp = format.bytes_per_pixel();
-        let pf = format.pixel_format();
-        image.map_rows(|rows| {
-            for row in 0..height as usize {
-                for col in 0..width as usize {
-                    let off = row * stride + col * bpp;
-                    let color = pf.decode(&data[off..off + bpp]);
-                    rows.set_pixel(x + col as u32, y + row as u32, color);
-                }
-            }
-        });
+        let rect = Rect { x, y, w: width, h: height };
+        unpack_into(&image, rect, format.pixel_format(), data, stride);
         self.device
             .charge_upload(u64::from(width) * u64::from(height) * bpp as u64);
     }
@@ -1617,14 +1616,35 @@ impl fmt::Debug for GlesContext {
     }
 }
 
-fn unpack_into(image: &Image, data: &[u8], stride: usize, bpp: usize) {
-    let pf = image.format();
+/// Whether `data` holds a `width`×`height` upload of `bpp`-byte pixels
+/// with rows `stride` bytes apart (the last row need not be padded).
+fn unpack_fits(data: &[u8], stride: usize, width: u32, height: u32, bpp: usize) -> bool {
+    (height as usize)
+        .saturating_sub(1)
+        .checked_mul(stride)
+        .and_then(|n| n.checked_add(width as usize * bpp))
+        .is_some_and(|needed| data.len() >= needed)
+}
+
+/// Unpacks `data` (rows `stride` bytes apart, pixels in `format`) into
+/// `rect` of `image`, under one lock. The rect must lie inside the image
+/// and `data` must pass [`unpack_fits`].
+///
+/// When `format` is the image's own, each row is one `copy_from_slice`:
+/// within a format decode→encode is the byte identity, so this writes the
+/// bytes the per-pixel conversion would.
+fn unpack_into(image: &Image, rect: Rect, format: PixelFormat, data: &[u8], stride: usize) {
+    let bpp = format.bytes_per_pixel();
+    let (x0, w) = (rect.x as usize * bpp, rect.w as usize * bpp);
     image.map_rows(|rows| {
-        for row in 0..image.height() as usize {
-            for col in 0..image.width() as usize {
-                let off = row * stride + col * bpp;
-                let color = pf.decode(&data[off..off + bpp]);
-                rows.set_pixel(col as u32, row as u32, color);
+        for row in 0..rect.h {
+            let src = &data[row as usize * stride..][..w];
+            if format == rows.format() {
+                rows.row_mut(rect.y + row)[x0..x0 + w].copy_from_slice(src);
+            } else {
+                for (col, px) in src.chunks_exact(bpp).enumerate() {
+                    rows.set_pixel(rect.x + col as u32, rect.y + row, format.decode(px));
+                }
             }
         }
     });
@@ -2023,6 +2043,103 @@ mod tests {
         c.set_line_width(-1.0);
         c.pop_matrix(); // would be InvalidOperation, but first error sticks
         assert_eq!(c.get_error(), GlError::InvalidValue);
+        assert_eq!(c.get_error(), GlError::NoError);
+    }
+
+    /// Deterministic pseudo-random bytes.
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        let mut state = seed | 1;
+        (0..len)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (state >> 56) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn texture_uploads_match_per_pixel_decode_encode() {
+        // Oracle: each uploaded pixel decoded to Rgba and encoded into the
+        // texture one by one. Same-format uploads take the row copy, the
+        // others convert; both must agree with the oracle, across unpack
+        // alignment, APPLE_row_bytes row length and sub-rects.
+        let formats = [TexFormat::Rgba, TexFormat::Bgra, TexFormat::Rgb565, TexFormat::Alpha];
+        let rects = [(0u32, 0u32, 7u32, 5u32), (2, 1, 3, 4), (6, 4, 1, 1), (1, 3, 5, 2), (3, 2, 0, 2)];
+        let mut seed = 1;
+        for tex_format in formats {
+            for upload in formats {
+                for alignment in [1usize, 2, 4, 8] {
+                    for pad in [0usize, 3] {
+                        let mut c = ctx(GlesVersion::V2, ApiFlavor::Ios);
+                        let tex = c.gen_textures(1)[0];
+                        c.bind_texture(tex);
+                        let base = noise(7 * 5 * tex_format.bytes_per_pixel(), seed);
+                        c.pixel_store(PixelStoreParam::UnpackAlignment, 1);
+                        c.tex_image_2d(7, 5, tex_format, Some(&base));
+                        let image = c.texture_image(tex).unwrap();
+                        let oracle = Image::new(7, 5, image.format());
+                        let pf = tex_format.pixel_format();
+                        let tbpp = tex_format.bytes_per_pixel();
+                        for y in 0..5 {
+                            for x in 0..7 {
+                                let off = (y * 7 + x) as usize * tbpp;
+                                oracle.set_pixel(x, y, pf.decode(&base[off..off + tbpp]));
+                            }
+                        }
+                        assert_eq!(image.to_rgba_vec(), oracle.to_rgba_vec(), "{tex_format:?} base");
+                        c.pixel_store(PixelStoreParam::UnpackAlignment, alignment);
+                        for (x, y, w, h) in rects {
+                            seed += 1;
+                            let bpp = upload.bytes_per_pixel();
+                            let padded = if pad > 0 { w as usize * bpp + pad } else { 0 };
+                            c.pixel_store(PixelStoreParam::UnpackRowBytesApple, padded);
+                            let stride = c.pixel_store.unpack_stride(w as usize, bpp);
+                            let data = noise(stride * h as usize, seed);
+                            c.tex_sub_image_2d(x, y, w, h, upload, &data);
+                            assert_eq!(c.get_error(), GlError::NoError);
+                            let upf = upload.pixel_format();
+                            for row in 0..h {
+                                for col in 0..w {
+                                    let off = row as usize * stride + col as usize * bpp;
+                                    oracle.set_pixel(x + col, y + row, upf.decode(&data[off..off + bpp]));
+                                }
+                            }
+                            let raw = |img: &Image| img.buffer().read(|b| b.to_vec());
+                            assert_eq!(
+                                raw(&image),
+                                raw(&oracle),
+                                "{upload:?} into {tex_format:?}, alignment {alignment}, \
+                                 row bytes {padded}, rect {x},{y} {w}x{h}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sub_image_rejects_short_data_and_wrapping_rects() {
+        // App input that used to panic: too little data for the rect, and
+        // an x offset whose `x + width` wraps u32. Both record
+        // GL_INVALID_VALUE and leave the texture untouched.
+        let mut c = ctx(GlesVersion::V1, ApiFlavor::Android);
+        let tex = c.gen_textures(1)[0];
+        c.bind_texture(tex);
+        c.tex_image_2d(4, 4, TexFormat::Rgba, Some(&[9; 64]));
+        let before = c.texture_image(tex).unwrap().to_rgba_vec();
+        c.tex_sub_image_2d(0, 0, 4, 4, TexFormat::Rgba, &[0; 4]);
+        assert_eq!(c.get_error(), GlError::InvalidValue);
+        c.tex_sub_image_2d(u32::MAX, 0, 2, 1, TexFormat::Rgba, &[0; 8]);
+        assert_eq!(c.get_error(), GlError::InvalidValue);
+        c.tex_sub_image_2d(0, u32::MAX, 1, 2, TexFormat::Rgba, &[0; 8]);
+        assert_eq!(c.get_error(), GlError::InvalidValue);
+        assert_eq!(c.texture_image(tex).unwrap().to_rgba_vec(), before);
+        // Exactly enough data (the last row unpadded) is accepted.
+        c.pixel_store(PixelStoreParam::UnpackAlignment, 8);
+        c.tex_sub_image_2d(0, 0, 1, 2, TexFormat::Alpha, &[0; 9]);
         assert_eq!(c.get_error(), GlError::NoError);
     }
 }

@@ -14,7 +14,7 @@
 //! guards.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use cycada_sim::check::{self, Access};
 use cycada_sim::slots::SlotTable;
@@ -23,7 +23,7 @@ use cycada_sim::{trace, GpuCostModel, Nanos, VirtualClock};
 use crate::fence::{Fence, FenceCondition, FenceId};
 use crate::format::{PixelFormat, Rgba};
 use crate::image::Image;
-use crate::raster::{self, Pipeline, RasterMetrics, RasterThreads, Rect, Vertex};
+use crate::raster::{self, Pipeline, RasterMetrics, Rect, Vertex};
 use crate::record::{CommandList, CommandRecorder, GpuCommand};
 
 /// Whether work goes down the 2D (vector/canvas) or 3D path. The two paths
@@ -141,7 +141,6 @@ const QUAD_INDICES: [u32; 6] = [0, 1, 2, 3, 4, 5];
 pub struct GpuDevice {
     clock: VirtualClock,
     cost: GpuCostModel,
-    raster_threads: AtomicUsize,
     reference_raster: AtomicBool,
     recording: AtomicBool,
     next_fence: AtomicU64,
@@ -157,7 +156,6 @@ impl GpuDevice {
         GpuDevice {
             clock,
             cost,
-            raster_threads: AtomicUsize::new(1),
             reference_raster: AtomicBool::new(false),
             recording: AtomicBool::new(true),
             next_fence: AtomicU64::new(0),
@@ -213,23 +211,6 @@ impl GpuDevice {
     /// Whether damage tracking is enabled (process-wide).
     pub fn damage_tracking(&self) -> bool {
         cycada_sim::damage::tracking()
-    }
-
-    /// Sets how many scoped worker threads draw commands may rasterize
-    /// with (default 1, i.e. serial).
-    ///
-    /// Tiling affects *host* wall time only: pixel output is byte-identical
-    /// for any count (see [`RasterThreads`]) and virtual-time costs are
-    /// charged from [`RasterMetrics`], so every simulated figure is
-    /// unchanged. Tiling engages only for draws whose estimated fill work
-    /// clears [`raster::TILE_MIN_PIXELS`] on a multicore host.
-    pub fn set_raster_threads(&self, threads: RasterThreads) {
-        self.raster_threads.store(threads.count(), Ordering::Relaxed);
-    }
-
-    /// The current draw-command worker count.
-    pub fn raster_threads(&self) -> RasterThreads {
-        RasterThreads(self.raster_threads.load(Ordering::Relaxed))
     }
 
     /// The device's cost model.
@@ -303,12 +284,9 @@ impl GpuDevice {
             };
             raster::reference::draw_indexed(target, depth, vertices, idx, pipeline)
         } else {
-            let threads = self.raster_threads();
             match indices {
-                Some(idx) => {
-                    raster::draw_indexed_tiled(target, depth, vertices, idx, pipeline, threads)
-                }
-                None => raster::draw_triangles_tiled(target, depth, vertices, pipeline, threads),
+                Some(idx) => raster::draw_indexed(target, depth, vertices, idx, pipeline),
+                None => raster::draw_triangles(target, depth, vertices, pipeline),
             }
         };
 
@@ -781,28 +759,6 @@ mod tests {
         gpu.charge_present();
         gpu.charge_present();
         assert_eq!(gpu.stats().presents, 2);
-    }
-
-    #[test]
-    fn raster_threads_change_neither_pixels_nor_virtual_time() {
-        let verts = vec![
-            Vertex::colored([-1.0, -1.0, 0.1], Rgba::RED),
-            Vertex::colored([3.0, -1.0, 0.5], Rgba::GREEN),
-            Vertex::colored([-1.0, 3.0, 0.9], Rgba::BLUE),
-        ];
-        let render = |threads: usize| {
-            let gpu = device();
-            gpu.set_raster_threads(crate::raster::RasterThreads(threads));
-            let img = Image::new(31, 17, PixelFormat::Rgba8888);
-            gpu.draw(&img, None, &verts, None, &Pipeline::default(), DrawClass::ThreeD);
-            (img.to_rgba_vec(), gpu.clock().now_ns())
-        };
-        let (serial_pixels, serial_ns) = render(1);
-        for n in [2, 4, 8] {
-            let (pixels, ns) = render(n);
-            assert_eq!(pixels, serial_pixels, "pixels diverged at {n} threads");
-            assert_eq!(ns, serial_ns, "virtual time diverged at {n} threads");
-        }
     }
 
     #[test]

@@ -266,13 +266,31 @@ impl Image {
 
     /// A 64-bit FNV-1a hash of the canonical RGBA pixels — used for
     /// "pixel for pixel" comparisons like the paper's Acid3 check.
+    ///
+    /// The hash is defined over [`Image::to_rgba_vec`], but the 4-byte
+    /// formats feed it straight from the row bytes: a byte's decode →
+    /// `to_bytes` round trip is the identity, so RGBA rows are already
+    /// canonical and BGRA rows only need bytes 0 and 2 swapped.
     pub fn pixel_hash(&self) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in self.to_rgba_vec() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+        fn fnv(hash: u64, bytes: &[u8]) -> u64 {
+            bytes.iter().fold(hash, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+            })
         }
-        hash
+        let seed: u64 = 0xcbf2_9ce4_8422_2325;
+        match self.format {
+            PixelFormat::Rgba8888 => self.read_rows(|rows| {
+                (0..self.height).fold(seed, |h, y| fnv(h, rows.row(y)))
+            }),
+            PixelFormat::Bgra8888 => self.read_rows(|rows| {
+                (0..self.height).fold(seed, |h, y| {
+                    rows.row(y)
+                        .chunks_exact(4)
+                        .fold(h, |h, px| fnv(h, &[px[2], px[1], px[0], px[3]]))
+                })
+            }),
+            PixelFormat::Rgb565 | PixelFormat::Alpha8 => fnv(seed, &self.to_rgba_vec()),
+        }
     }
 }
 

@@ -42,5 +42,5 @@ pub use device::{DrawClass, GpuDevice, GpuStats};
 pub use fence::{Fence, FenceCondition, FenceId};
 pub use format::{PixelFormat, Rgba};
 pub use image::{Image, Rows, RowsMut};
-pub use raster::{BlendMode, Pipeline, RasterThreads, Vertex};
+pub use raster::{BlendMode, Pipeline, Vertex};
 pub use record::{CommandList, CommandRecorder, GpuCommand};

@@ -13,10 +13,9 @@
 //! draw takes one write guard on the target (plus one read guard on the
 //! texture) and then works on plain byte slices. Triangle fills are
 //! span-based — per-row edge terms are hoisted so the per-candidate test
-//! is one multiply-subtract per edge — and may run tile-parallel over
-//! disjoint horizontal bands ([`draw_indexed_tiled`]). Every path is
-//! byte-identical to the per-pixel [`reference`] rasterizer, which is kept
-//! as the executable specification and asserted against by property tests.
+//! is one multiply-subtract per edge. Every path is byte-identical to
+//! the per-pixel [`reference`] rasterizer, which is kept as the
+//! executable specification and asserted against by property tests.
 
 use crate::format::{PixelFormat, Rgba};
 use crate::image::Image;
@@ -207,63 +206,9 @@ impl From<cycada_sim::damage::DamageRect> for Rect {
     }
 }
 
-/// How many scoped worker threads a draw may rasterize with.
-///
-/// `RasterThreads(1)` (the default) is fully serial. `RasterThreads(n)`
-/// partitions the target into `n` disjoint horizontal bands, each rendered
-/// by its own scoped thread. Bands never share a row, every band processes
-/// triangles in submission order, and each pixel belongs to exactly one
-/// band — so the bytes written are identical to the serial schedule for
-/// any `n` (asserted by tests). Virtual-time costs are charged from
-/// [`RasterMetrics`], not wall time, so parallelism never changes the
-/// simulated figures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RasterThreads(pub usize);
-
-impl RasterThreads {
-    /// The effective worker count (at least 1).
-    pub fn count(self) -> usize {
-        self.0.max(1)
-    }
-}
-
-impl Default for RasterThreads {
-    fn default() -> Self {
-        RasterThreads(1)
-    }
-}
-
 /// Allocates a depth buffer (initialized to the far plane) for `target`.
 pub fn depth_buffer_for(target: &Image) -> Vec<f32> {
     vec![f32::INFINITY; target.pixel_count() as usize]
-}
-
-/// Minimum estimated fragment workload (summed triangle bounding-box
-/// pixels) below which band tiling is skipped and the draw runs serial.
-///
-/// Measured on the `fullscreen_tri` bench shape: a scoped worker costs
-/// roughly 15–30 µs to spawn and join, while the span lane fills on the
-/// order of a pixel per nanosecond — so a band must cover ≳30 k pixels
-/// before its thread pays for itself, and the crossover for the whole draw
-/// sits around 10⁵ pixels. Below this bound `RasterThreads(2/4)` was
-/// strictly slower than serial (the `BENCH_raster.json` non-win).
-pub const TILE_MIN_PIXELS: u64 = 1 << 17;
-
-/// The host's available parallelism, sampled once. Band tiling can only
-/// lose on a single-core host, so the gate consults this alongside
-/// [`TILE_MIN_PIXELS`].
-fn host_parallelism() -> usize {
-    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *CORES.get_or_init(|| {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    })
-}
-
-/// Whether splitting `est_pixels` of fill work into bands is expected to
-/// beat the serial schedule on this host. Purely a wall-time heuristic:
-/// pixel output and virtual time are identical either way.
-pub fn tiling_profitable(est_pixels: u64) -> bool {
-    est_pixels >= TILE_MIN_PIXELS && host_parallelism() >= 2
 }
 
 /// Draws a triangle list: every 3 vertices form one triangle.
@@ -277,19 +222,8 @@ pub fn draw_triangles(
     vertices: &[Vertex],
     pipeline: &Pipeline<'_>,
 ) -> RasterMetrics {
-    draw_triangles_tiled(target, depth, vertices, pipeline, RasterThreads(1))
-}
-
-/// [`draw_triangles`], optionally tile-parallel (see [`draw_indexed_tiled`]).
-pub fn draw_triangles_tiled(
-    target: &Image,
-    depth: Option<&mut [f32]>,
-    vertices: &[Vertex],
-    pipeline: &Pipeline<'_>,
-    threads: RasterThreads,
-) -> RasterMetrics {
     let indices: Vec<u32> = (0..vertices.len() as u32).collect();
-    draw_indexed_tiled(target, depth, vertices, &indices, pipeline, threads)
+    draw_indexed(target, depth, vertices, &indices, pipeline)
 }
 
 /// Draws an indexed triangle list (serial span rasterizer: one lock for
@@ -305,59 +239,6 @@ pub fn draw_indexed(
     vertices: &[Vertex],
     indices: &[u32],
     pipeline: &Pipeline<'_>,
-) -> RasterMetrics {
-    draw_indexed_tiled(target, depth, vertices, indices, pipeline, RasterThreads(1))
-}
-
-/// Draws an indexed triangle list, optionally tile-parallel.
-///
-/// The target is split into `threads` disjoint horizontal bands rendered
-/// by scoped threads; see [`RasterThreads`] for the determinism argument.
-/// Output bytes, depth values and [`RasterMetrics`] are identical for any
-/// thread count. Tiling only engages when the estimated fill work clears
-/// [`TILE_MIN_PIXELS`] on a multicore host ([`tiling_profitable`]);
-/// smaller draws run serial regardless of `threads`, because the band
-/// spawn/join overhead exceeds the fill time.
-///
-/// # Panics
-///
-/// Panics if an index is out of range, or if `pipeline.depth_test` is set
-/// with a depth buffer of the wrong size.
-pub fn draw_indexed_tiled(
-    target: &Image,
-    depth: Option<&mut [f32]>,
-    vertices: &[Vertex],
-    indices: &[u32],
-    pipeline: &Pipeline<'_>,
-    threads: RasterThreads,
-) -> RasterMetrics {
-    draw_indexed_impl(target, depth, vertices, indices, pipeline, threads.count(), true)
-}
-
-/// [`draw_indexed_tiled`] with an explicit band count and no
-/// profitability gate — the multi-band schedule must stay byte-identical
-/// even on hosts/draws where the public gate would pick the serial path,
-/// and tests exercise it through this entry.
-#[doc(hidden)]
-pub fn draw_indexed_forced_bands(
-    target: &Image,
-    depth: Option<&mut [f32]>,
-    vertices: &[Vertex],
-    indices: &[u32],
-    pipeline: &Pipeline<'_>,
-    bands: usize,
-) -> RasterMetrics {
-    draw_indexed_impl(target, depth, vertices, indices, pipeline, bands, false)
-}
-
-fn draw_indexed_impl(
-    target: &Image,
-    mut depth: Option<&mut [f32]>,
-    vertices: &[Vertex],
-    indices: &[u32],
-    pipeline: &Pipeline<'_>,
-    workers: usize,
-    gate: bool,
 ) -> RasterMetrics {
     if let Some(d) = depth.as_deref() {
         assert_eq!(
@@ -411,72 +292,11 @@ fn draw_indexed_impl(
     let mut guard = target.buffer().write_guard_noting(damage.into());
     let bytes = &mut guard[..geom.row_bytes * height as usize];
 
-    let mut bands = workers.max(1).min(height.max(1) as usize);
-    if gate && bands > 1 {
-        let est: u64 = tris
-            .iter()
-            .map(|t| u64::from(t.max_x - t.min_x) * u64::from(t.max_y - t.min_y))
-            .sum();
-        if !tiling_profitable(est) {
-            bands = 1;
-        }
-    }
-    if bands <= 1 {
-        metrics.fragments = fill_band(
-            bytes,
-            depth.as_deref_mut(),
-            0,
-            height,
-            &geom,
-            &tris,
-            tex_view.as_ref(),
-            pipeline,
-        );
-        return metrics;
-    }
-
-    // Deterministic partition: band i covers `base` rows, the first
-    // `extra` bands one row more — contiguous, disjoint, in row order.
-    let base = height as usize / bands;
-    let extra = height as usize % bands;
-    let mut band_rows = Vec::with_capacity(bands);
-    let mut y = 0u32;
-    for i in 0..bands {
-        let rows = (base + usize::from(i < extra)) as u32;
-        band_rows.push((y, y + rows));
-        y += rows;
-    }
-
-    let fragments: u64 = std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(bands);
-        let mut rest_bytes = bytes;
-        let mut rest_depth = depth;
-        let tris = &tris;
-        let geom = &geom;
-        let tex_view = tex_view.as_ref();
-        for &(row0, row1) in &band_rows {
-            let rows = (row1 - row0) as usize;
-            let (band_bytes, tail) = rest_bytes.split_at_mut(rows * geom.row_bytes);
-            rest_bytes = tail;
-            let band_depth = match rest_depth.take() {
-                Some(d) => {
-                    let (head, tail) = d.split_at_mut(rows * geom.width as usize);
-                    rest_depth = Some(tail);
-                    Some(head)
-                }
-                None => None,
-            };
-            handles.push(s.spawn(move || {
-                fill_band(band_bytes, band_depth, row0, row1, geom, tris, tex_view, pipeline)
-            }));
-        }
-        handles.into_iter().map(|h| h.join().expect("raster band")).sum()
-    });
-    metrics.fragments = fragments;
+    metrics.fragments = fill_triangles(bytes, depth, &geom, &tris, tex_view.as_ref(), pipeline);
     metrics
 }
 
-/// Per-draw target geometry shared by every band.
+/// Per-draw target geometry.
 struct TargetGeom {
     width: u32,
     row_bytes: usize,
@@ -612,11 +432,8 @@ fn prepare_triangles(
     tris
 }
 
-/// Rasterizes every prepared triangle into one horizontal band.
-///
-/// `bytes` covers exactly rows `[row0, row1)` of the target and `depth`
-/// (when present) the same rows of the depth buffer, so bands can run on
-/// separate threads without overlapping writes. Returns fragments shaded.
+/// Rasterizes every prepared triangle into the target. Returns fragments
+/// shaded.
 ///
 /// Span math: for the edge function through `a`,`b` the reference
 /// rasterizer evaluates, at each pixel center `(X, Y)`,
@@ -629,12 +446,9 @@ fn prepare_triangles(
 /// are exactly those of the reference. A naive DDA (`e += dx` stepping)
 /// would be faster still but accumulates float rounding and breaks the
 /// byte-identical contract; see DESIGN.md §5b.
-#[allow(clippy::too_many_arguments)]
-fn fill_band(
+fn fill_triangles(
     bytes: &mut [u8],
     mut depth: Option<&mut [f32]>,
-    row0: u32,
-    row1: u32,
     geom: &TargetGeom,
     tris: &[ScreenTri],
     tex: Option<&TexView<'_>>,
@@ -643,8 +457,6 @@ fn fill_band(
     let mut fragments = 0u64;
     let depth_active = pipeline.depth_test && depth.is_some();
     for t in tris {
-        let min_y = t.min_y.max(row0);
-        let max_y = t.max_y.min(row1);
         // Triangle-invariant edge factors: k = b.y - a.y, d = b.x - a.x
         // for the edges (p1,p2), (p2,p0), (p0,p1).
         let k0 = t.p2[1] - t.p1[1];
@@ -654,19 +466,19 @@ fn fill_band(
         let k2 = t.p1[1] - t.p0[1];
         let d2 = t.p1[0] - t.p0[0];
         let lane = span_lane(geom, t, depth_active, tex, pipeline);
-        for py in min_y..max_y {
+        for py in t.min_y..t.max_y {
             let yc = py as f32 + 0.5;
             // Row-invariant second products of the three edge functions.
             let r0 = (yc - t.p1[1]) * d0;
             let r1 = (yc - t.p2[1]) * d1;
             let r2 = (yc - t.p0[1]) * d2;
-            let row_off = (py - row0) as usize * geom.row_bytes;
-            let depth_row = (py - row0) as usize * geom.width as usize;
-            // Branch-free span lane for the hot shape (opaque, untextured,
-            // no depth buffer, 4-byte format): find the covered interval
-            // with O(log W) evaluations of the exact per-pixel predicate,
-            // then fill it without any per-pixel test. Falls through to
-            // the scalar lane on non-finite edge terms.
+            let row_off = py as usize * geom.row_bytes;
+            let depth_row = py as usize * geom.width as usize;
+            // Branch-free span lanes for the hot shapes (opaque, no depth
+            // buffer, 4-byte formats): find the covered interval with
+            // O(log W) evaluations of the exact per-pixel predicate, then
+            // fill it without any per-pixel test. Falls through to the
+            // scalar lane on non-finite edge terms.
             if let Some(lane) = &lane {
                 if let Some(n) =
                     fill_row_span(bytes, row_off, t, (k0, k1, k2), (r0, r1, r2), lane)
@@ -676,15 +488,12 @@ fn fill_band(
                 }
             }
             // Scalar lane: coverage is re-evaluated at every candidate
-            // (one mul-sub per edge). The span lane above must locate its
-            // interval with this exact predicate — analytic span endpoints
-            // would differ near edges by float rounding, and the contract
-            // is byte-identity with the reference, not "close".
+            // (one mul-sub per edge). The span lanes above must locate
+            // their interval with this exact predicate — analytic span
+            // endpoints would differ near edges by float rounding, and the
+            // contract is byte-identity with the reference, not "close".
             for px in t.min_x..t.max_x {
-                let xc = px as f32 + 0.5;
-                let w0 = ((xc - t.p1[0]) * k0 - r0) / t.area;
-                let w1 = ((xc - t.p2[0]) * k1 - r1) / t.area;
-                let w2 = ((xc - t.p0[0]) * k2 - r2) / t.area;
+                let [w0, w1, w2] = weights(t, (k0, k1, k2), (r0, r1, r2), px);
                 if w0 < 0.0 || w1 < 0.0 || w2 < 0.0 {
                     continue;
                 }
@@ -727,11 +536,34 @@ fn fill_band(
     fragments
 }
 
-/// Interpolation coefficients for [`fill_row_span`], ordered by packed
+/// The three barycentric weights of pixel column `px` in a row, given the
+/// triangle-invariant edge factors `k` and the row-invariant products `r`
+/// (see [`fill_triangles`]): the reference's `edge(..) / area` per edge,
+/// term for term.
+#[inline(always)]
+fn weights(t: &ScreenTri, k: (f32, f32, f32), r: (f32, f32, f32), px: u32) -> [f32; 3] {
+    let xc = px as f32 + 0.5;
+    [
+        ((xc - t.p1[0]) * k.0 - r.0) / t.area,
+        ((xc - t.p2[0]) * k.1 - r.1) / t.area,
+        ((xc - t.p0[0]) * k.2 - r.2) / t.area,
+    ]
+}
+
+/// A span lane chosen per triangle: how [`fill_row_span`] shades the
+/// covered interval of each row.
+enum Lane<'a> {
+    /// Untextured: interpolated vertex colour only.
+    Color(ColorLane),
+    /// Nearest-neighbour texel gather modulated by the vertex colour.
+    Textured(TexLane<'a>),
+}
+
+/// Interpolation coefficients of the untextured lane, ordered by packed
 /// byte position: `ch[i]` holds the three per-vertex values whose
 /// interpolant lands at byte `i` of the pixel (so RGBA and BGRA share one
 /// packing loop with no per-pixel swizzle branch).
-struct SpanLane {
+struct ColorLane {
     ch: [[f32; 3]; 4],
     /// `Some(mask)` when every channel's coefficients are identically
     /// `±0.0` or identically `1.0` — flat primary colors, the dominant
@@ -744,18 +576,34 @@ struct SpanLane {
     flat01_mask: Option<u32>,
 }
 
-/// Decides whether a triangle can take the branch-free span lane and
-/// builds its byte-ordered coefficients. The lane requires opaque blend
-/// (no read-back of destination bytes), no texture, no depth buffer in
-/// play, and a 4-byte format; everything else takes the scalar lane.
-fn span_lane(
+/// The textured lane: a 4-byte texture sampled into a 4-byte target.
+struct TexLane<'a> {
+    tex: &'a TexView<'a>,
+    /// Byte-ordered vertex-colour coefficients, as in [`ColorLane::ch`].
+    ch: [[f32; 3]; 4],
+    /// Per-vertex texture coordinates: the three `u`, then the three `v`.
+    uv: [[f32; 3]; 2],
+    /// Every vertex colour is all-ones, so every channel's modulating
+    /// colour is the weight sum `(w0 + w1) + w2` (`x * 1.0 ≡ x`), and
+    /// inside [`WHITE_BAND`] the texel bytes pass through unchanged.
+    white: bool,
+    /// Texture and target byte orders differ (RGBA against BGRA).
+    swap_rb: bool,
+}
+
+/// Decides whether a triangle can take a branch-free span lane and builds
+/// its byte-ordered coefficients. The lanes require opaque blend (no
+/// read-back of destination bytes), no depth buffer in play, a 4-byte
+/// target format and, when textured, a non-empty 4-byte texture;
+/// everything else takes the scalar lane.
+fn span_lane<'a>(
     geom: &TargetGeom,
     t: &ScreenTri,
     depth_active: bool,
-    tex: Option<&TexView<'_>>,
+    tex: Option<&'a TexView<'a>>,
     pipeline: &Pipeline<'_>,
-) -> Option<SpanLane> {
-    if !matches!(pipeline.blend, BlendMode::Opaque) || tex.is_some() || depth_active {
+) -> Option<Lane<'a>> {
+    if !matches!(pipeline.blend, BlendMode::Opaque) || depth_active {
         return None;
     }
     let by = |f: fn(&Rgba) -> f32| [f(&t.c0), f(&t.c1), f(&t.c2)];
@@ -764,6 +612,23 @@ fn span_lane(
         PixelFormat::Bgra8888 => [by(|c| c.b), by(|c| c.g), by(|c| c.r), by(|c| c.a)],
         _ => return None,
     };
+    if let Some(tex) = tex {
+        let four_byte = matches!(tex.format, PixelFormat::Rgba8888 | PixelFormat::Bgra8888);
+        let dims_ok = |n: u32| (1..=i32::MAX as u32).contains(&n);
+        if !four_byte || !dims_ok(tex.width) || !dims_ok(tex.height) {
+            return None;
+        }
+        return Some(Lane::Textured(TexLane {
+            tex,
+            ch,
+            uv: [
+                [t.uv0[0], t.uv1[0], t.uv2[0]],
+                [t.uv0[1], t.uv1[1], t.uv2[1]],
+            ],
+            white: ch.iter().flatten().all(|&v| v == 1.0),
+            swap_rb: tex.format != geom.format,
+        }));
+    }
     let mut flat01_mask = Some(0u32);
     for (i, c) in ch.iter().enumerate() {
         if c.iter().all(|&v| v == 0.0) {
@@ -775,7 +640,7 @@ fn span_lane(
             break;
         }
     }
-    Some(SpanLane { ch, flat01_mask })
+    Some(Lane::Color(ColorLane { ch, flat01_mask }))
 }
 
 /// The sub-interval of `[lo, hi)` on which `!(w(px) < 0.0)` holds, found
@@ -824,26 +689,50 @@ fn edge_interval(w: impl Fn(u32) -> f32, lo: u32, hi: u32) -> (u32, u32) {
     }
 }
 
-/// Width of the stack buffer the span lane shades into between stores.
+/// The covered interval `[lo, hi)` of one triangle row, or `None` when an
+/// edge term is non-finite (where monotonicity, and thus the search, is
+/// not guaranteed).
+///
+/// Each barycentric weight `w(px)` is a chain of rounded monotone
+/// functions of `px` (cast, add-constant, multiply-by-constant,
+/// divide-by-constant), and rounding preserves weak monotonicity, so per
+/// edge the covered set really is contiguous and [`edge_interval`] — which
+/// evaluates the exact per-pixel expressions — finds the same boundary a
+/// linear scan would. The finiteness guard matters: with every term finite
+/// and `area` nonzero, no intermediate can be NaN (the weights may still
+/// overflow to ±∞, which stays monotone and compares like the scalar
+/// lane).
+fn row_interval(t: &ScreenTri, k: (f32, f32, f32), r: (f32, f32, f32)) -> Option<(u32, u32)> {
+    if t.min_x >= t.max_x {
+        return Some((t.min_x, t.min_x));
+    }
+    if ![k.0, k.1, k.2, r.0, r.1, r.2, t.p0[0], t.p1[0], t.p2[0], t.area]
+        .iter()
+        .all(|v| v.is_finite())
+    {
+        return None;
+    }
+    let (l0, h0) = edge_interval(|px| weights(t, k, r, px)[0], t.min_x, t.max_x);
+    let (l1, h1) = edge_interval(|px| weights(t, k, r, px)[1], t.min_x, t.max_x);
+    let (l2, h2) = edge_interval(|px| weights(t, k, r, px)[2], t.min_x, t.max_x);
+    let lo = l0.max(l1).max(l2);
+    Some((lo, h0.min(h1).min(h2).max(lo)))
+}
+
+/// Width of the stack buffer the span lanes shade into between stores.
 const SPAN_TILE: usize = 128;
 
 /// Fills one row's covered span without per-pixel branches. Returns the
 /// fragment count, or `None` when an edge term is non-finite — the caller
 /// then takes the scalar lane, which handles arbitrary values.
 ///
-/// Byte-identity with the scalar lane rests on two facts. First, each
-/// barycentric weight `w(px)` is a chain of rounded monotone functions of
-/// `px` (cast, add-constant, multiply-by-constant, divide-by-constant),
-/// and rounding preserves weak monotonicity, so per edge the covered set
-/// really is contiguous and [`edge_interval`] — which evaluates the exact
-/// per-pixel expressions — finds the same boundary a linear scan would.
-/// The finiteness guard matters: with every term finite and `area`
-/// nonzero, no intermediate can be NaN (the weights may still overflow to
-/// ±∞, which stays monotone and compares like the scalar lane). Second,
-/// the interior loop repeats the scalar lane's weight, interpolation, and
-/// [`quantize_unit`] expressions verbatim — it is the same arithmetic,
-/// merely restructured so the compiler can vectorize it: no coverage
-/// test, `i32` quantize casts, and packed `u32` stores.
+/// Byte-identity with the scalar lane rests on two facts. First, the
+/// interval comes from [`row_interval`], which reproduces the scalar
+/// coverage test exactly. Second, the shading passes repeat the scalar
+/// lane's weight, interpolation, sampling and [`quantize_unit`]
+/// expressions verbatim — the same arithmetic, merely restructured so the
+/// weight pass vectorizes: no coverage test, `i32` quantize casts, and
+/// packed `u32` stores.
 #[inline]
 fn fill_row_span(
     bytes: &mut [u8],
@@ -851,59 +740,16 @@ fn fill_row_span(
     t: &ScreenTri,
     k: (f32, f32, f32),
     r: (f32, f32, f32),
-    lane: &SpanLane,
+    lane: &Lane<'_>,
 ) -> Option<u64> {
-    let (k0, k1, k2) = k;
-    let (r0, r1, r2) = r;
-    if t.min_x >= t.max_x {
-        return Some(0);
-    }
-    if ![k0, k1, k2, r0, r1, r2, t.p0[0], t.p1[0], t.p2[0], t.area]
-        .iter()
-        .all(|v| v.is_finite())
-    {
-        return None;
-    }
-    let (l0, h0) =
-        edge_interval(|px| ((px as f32 + 0.5 - t.p1[0]) * k0 - r0) / t.area, t.min_x, t.max_x);
-    let (l1, h1) =
-        edge_interval(|px| ((px as f32 + 0.5 - t.p2[0]) * k1 - r1) / t.area, t.min_x, t.max_x);
-    let (l2, h2) =
-        edge_interval(|px| ((px as f32 + 0.5 - t.p0[0]) * k2 - r2) / t.area, t.min_x, t.max_x);
-    let lo = l0.max(l1).max(l2);
-    let hi = h0.min(h1).min(h2);
-    if lo >= hi {
-        return Some(0);
-    }
-
+    let (lo, hi) = row_interval(t, k, r)?;
     let mut px = lo;
     while px < hi {
         let len = ((hi - px) as usize).min(SPAN_TILE);
         let mut buf = [0u32; SPAN_TILE];
-        if let Some(mask) = lane.flat01_mask {
-            // Flat 0/1 colors: one interpolant (the weight sum, which is
-            // what every all-ones channel evaluates to) quantized once and
-            // replicated across the pixel, zero channels masked off.
-            for (i, slot) in buf[..len].iter_mut().enumerate() {
-                let xc = (px + i as u32) as f32 + 0.5;
-                let w0 = ((xc - t.p1[0]) * k0 - r0) / t.area;
-                let w1 = ((xc - t.p2[0]) * k1 - r1) / t.area;
-                let w2 = ((xc - t.p0[0]) * k2 - r2) / t.area;
-                let q = u32::from(quantize_unit(w0 + w1 + w2));
-                *slot = q.wrapping_mul(0x0101_0101) & mask;
-            }
-        } else {
-            for (i, slot) in buf[..len].iter_mut().enumerate() {
-                let xc = (px + i as u32) as f32 + 0.5;
-                let w0 = ((xc - t.p1[0]) * k0 - r0) / t.area;
-                let w1 = ((xc - t.p2[0]) * k1 - r1) / t.area;
-                let w2 = ((xc - t.p0[0]) * k2 - r2) / t.area;
-                let q = |c: &[f32; 3]| u32::from(quantize_unit(w0 * c[0] + w1 * c[1] + w2 * c[2]));
-                *slot = q(&lane.ch[0])
-                    | q(&lane.ch[1]) << 8
-                    | q(&lane.ch[2]) << 16
-                    | q(&lane.ch[3]) << 24;
-            }
+        match lane {
+            Lane::Color(lane) => shade_color(&mut buf[..len], px, t, k, r, lane),
+            Lane::Textured(lane) => shade_textured(&mut buf[..len], px, t, k, r, lane),
         }
         let off = row_off + px as usize * 4;
         for (dst, v) in bytes[off..off + len * 4].chunks_exact_mut(4).zip(&buf[..len]) {
@@ -914,7 +760,135 @@ fn fill_row_span(
     Some(u64::from(hi - lo))
 }
 
-/// Computes the exact [`RasterMetrics`] that [`draw_indexed_tiled`] (or
+/// Shades the untextured pixels `px..px + buf.len()` of a covered span.
+#[inline]
+fn shade_color(
+    buf: &mut [u32],
+    px: u32,
+    t: &ScreenTri,
+    k: (f32, f32, f32),
+    r: (f32, f32, f32),
+    lane: &ColorLane,
+) {
+    if let Some(mask) = lane.flat01_mask {
+        // Flat 0/1 colors: one interpolant (the weight sum, which is
+        // what every all-ones channel evaluates to) quantized once and
+        // replicated across the pixel, zero channels masked off.
+        for (i, slot) in buf.iter_mut().enumerate() {
+            let [w0, w1, w2] = weights(t, k, r, px + i as u32);
+            let q = u32::from(quantize_unit(w0 + w1 + w2));
+            *slot = q.wrapping_mul(0x0101_0101) & mask;
+        }
+    } else {
+        for (i, slot) in buf.iter_mut().enumerate() {
+            let [w0, w1, w2] = weights(t, k, r, px + i as u32);
+            let q = |c: &[f32; 3]| u32::from(quantize_unit(w0 * c[0] + w1 * c[1] + w2 * c[2]));
+            *slot = q(&lane.ch[0]) | q(&lane.ch[1]) << 8 | q(&lane.ch[2]) << 16 | q(&lane.ch[3]) << 24;
+        }
+    }
+}
+
+/// `UNIT[b]` is `b / 255` as `f32` — exactly the component
+/// [`PixelFormat::decode`] yields for byte `b` of a 4-byte format.
+const UNIT: [f32; 256] = {
+    let mut table = [0.0f32; 256];
+    let mut b = 0;
+    while b < 256 {
+        table[b] = b as f32 / 255.0;
+        b += 1;
+    }
+    table
+};
+
+/// Weight sums `s` for which modulating by `s` leaves every byte as it
+/// is: `quantize_unit(UNIT[b] * s) == b` for all 256 bytes `b`.
+///
+/// `UNIT[b] * s` is monotone in `s` (a product with a non-negative
+/// constant, then rounding) and [`quantize_unit`] is monotone, so the
+/// identity holds on the whole band once it holds at both endpoints —
+/// which tests check for every byte.
+const WHITE_BAND: (f32, f32) = (0.9981, 1.0019);
+
+/// [`texel_index`] with a truncating cast in place of libm `floor`: on the
+/// clamped domain `[0, size]` truncation and `floor` give the same
+/// integer, and NaN maps to 0 through both. `size_f` is `size as f32` and
+/// `last` is `size - 1`, for `1 <= size <= i32::MAX` (where a saturated
+/// cast still lands on `last`).
+#[inline(always)]
+fn texel_index_trunc(coord: f32, size_f: f32, last: i32) -> i32 {
+    ((coord.clamp(0.0, 1.0) * size_f) as i32).min(last)
+}
+
+/// Swaps bytes 0 and 2 of a packed pixel: RGBA ↔ BGRA.
+#[inline(always)]
+fn swap_rb(px: u32) -> u32 {
+    (px & 0xFF00_FF00) | (px & 0xFF) << 16 | (px >> 16) & 0xFF
+}
+
+/// Shades the textured pixels `px..px + buf.len()` of a covered span: a
+/// vectorizable pass computes the weights and texel coordinates, then a
+/// gather pass reads each texel as bytes ([`UNIT`] in place of `decode`)
+/// and, for white vertex colours inside [`WHITE_BAND`], stores it
+/// unchanged.
+#[inline]
+fn shade_textured(
+    buf: &mut [u32],
+    px: u32,
+    t: &ScreenTri,
+    k: (f32, f32, f32),
+    r: (f32, f32, f32),
+    lane: &TexLane<'_>,
+) {
+    let n = buf.len().min(SPAN_TILE);
+    let tex = lane.tex;
+    let (wf, hf) = (tex.width as f32, tex.height as f32);
+    let (wl, hl) = (tex.width as i32 - 1, tex.height as i32 - 1);
+    let [us, vs] = &lane.uv;
+    let mut w = [[0.0f32; SPAN_TILE]; 3];
+    let mut tx = [0i32; SPAN_TILE];
+    let mut ty = [0i32; SPAN_TILE];
+    let mut in_band = [false; SPAN_TILE];
+    for i in 0..n {
+        let [w0, w1, w2] = weights(t, k, r, px + i as u32);
+        (w[0][i], w[1][i], w[2][i]) = (w0, w1, w2);
+        tx[i] = texel_index_trunc(w0 * us[0] + w1 * us[1] + w2 * us[2], wf, wl);
+        ty[i] = texel_index_trunc(w0 * vs[0] + w1 * vs[1] + w2 * vs[2], hf, hl);
+        let s = w0 + w1 + w2;
+        in_band[i] = lane.white & (s >= WHITE_BAND.0) & (s <= WHITE_BAND.1);
+    }
+    for i in 0..n {
+        let off = ty[i] as usize * tex.row_bytes + tx[i] as usize * 4;
+        let raw = &tex.bytes[off..off + 4];
+        let raw = u32::from_le_bytes([raw[0], raw[1], raw[2], raw[3]]);
+        let texel = if lane.swap_rb { swap_rb(raw) } else { raw };
+        buf[i] = if in_band[i] {
+            texel
+        } else {
+            modulate_span(texel, [w[0][i], w[1][i], w[2][i]], lane)
+        };
+    }
+}
+
+/// The full modulate of one textured pixel: [`Rgba::modulate`] by the
+/// interpolated vertex colour, then [`quantize_unit`] per byte. Kept out
+/// of line so the compiler cannot hoist it above the band test in
+/// [`shade_textured`] and pay four quantizations on every pixel.
+#[inline(never)]
+fn modulate_span(texel: u32, [w0, w1, w2]: [f32; 3], lane: &TexLane<'_>) -> u32 {
+    let color = if lane.white {
+        [w0 + w1 + w2; 4]
+    } else {
+        lane.ch.map(|ch| w0 * ch[0] + w1 * ch[1] + w2 * ch[2])
+    };
+    let mut out = 0;
+    for (i, c) in color.iter().enumerate() {
+        let b = (texel >> (8 * i)) & 0xFF;
+        out |= u32::from(quantize_unit(UNIT[b as usize] * c)) << (8 * i);
+    }
+    out
+}
+
+/// Computes the exact [`RasterMetrics`] that [`draw_indexed`] (or
 /// [`reference::draw_indexed`]) would report for this draw, without
 /// touching any pixel or depth bytes.
 ///
@@ -956,31 +930,12 @@ pub fn coverage_metrics(
 /// Counts the covered pixels of one triangle row with the span lane's
 /// interval search, or the scalar predicate when a term is non-finite.
 fn row_coverage(t: &ScreenTri, k: (f32, f32, f32), r: (f32, f32, f32)) -> u64 {
-    let (k0, k1, k2) = k;
-    let (r0, r1, r2) = r;
-    if t.min_x >= t.max_x {
-        return 0;
-    }
-    if [k0, k1, k2, r0, r1, r2, t.p0[0], t.p1[0], t.p2[0], t.area]
-        .iter()
-        .all(|v| v.is_finite())
-    {
-        let (l0, h0) =
-            edge_interval(|px| ((px as f32 + 0.5 - t.p1[0]) * k0 - r0) / t.area, t.min_x, t.max_x);
-        let (l1, h1) =
-            edge_interval(|px| ((px as f32 + 0.5 - t.p2[0]) * k1 - r1) / t.area, t.min_x, t.max_x);
-        let (l2, h2) =
-            edge_interval(|px| ((px as f32 + 0.5 - t.p0[0]) * k2 - r2) / t.area, t.min_x, t.max_x);
-        let lo = l0.max(l1).max(l2);
-        let hi = h0.min(h1).min(h2);
-        return u64::from(hi.saturating_sub(lo));
+    if let Some((lo, hi)) = row_interval(t, k, r) {
+        return u64::from(hi - lo);
     }
     let mut n = 0u64;
     for px in t.min_x..t.max_x {
-        let xc = px as f32 + 0.5;
-        let w0 = ((xc - t.p1[0]) * k0 - r0) / t.area;
-        let w1 = ((xc - t.p2[0]) * k1 - r1) / t.area;
-        let w2 = ((xc - t.p0[0]) * k2 - r2) / t.area;
+        let [w0, w1, w2] = weights(t, k, r, px);
         if !(w0 < 0.0 || w1 < 0.0 || w2 < 0.0) {
             n += 1;
         }
@@ -1761,62 +1716,96 @@ mod tests {
     }
 
     #[test]
-    fn tiled_output_is_byte_identical_for_any_thread_count() {
-        let serial = Image::new(40, 31, PixelFormat::Rgba8888);
-        let mut serial_depth = depth_buffer_for(&serial);
-        let pipeline = Pipeline { depth_test: true, ..Pipeline::default() };
-        let indices = [0u32, 1, 2, 3, 4, 5];
-        let m0 = draw_indexed(&serial, Some(&mut serial_depth), &scene(), &indices, &pipeline);
-        for n in [1usize, 2, 4, 8, 64] {
-            // Forced bands: the profitability gate would run a draw this
-            // small serial, but the banded schedule itself must stay
-            // byte-identical on any host.
-            let tiled = Image::new(40, 31, PixelFormat::Rgba8888);
-            let mut tiled_depth = depth_buffer_for(&tiled);
-            let m = draw_indexed_forced_bands(
-                &tiled,
-                Some(&mut tiled_depth),
-                &scene(),
-                &indices,
-                &pipeline,
-                n,
-            );
-            assert_eq!(m, m0, "metrics diverged at {n} bands");
-            assert_eq!(
-                tiled.to_rgba_vec(),
-                serial.to_rgba_vec(),
-                "pixels diverged at {n} bands"
-            );
-            assert_eq!(
-                tiled_depth.to_vec(),
-                serial_depth,
-                "depth diverged at {n} bands"
-            );
-            // The gated public entry must agree with the serial draw too,
-            // whichever band count it picks.
-            let gated = Image::new(40, 31, PixelFormat::Rgba8888);
-            let mut gated_depth = depth_buffer_for(&gated);
-            let mg = draw_indexed_tiled(
-                &gated,
-                Some(&mut gated_depth),
-                &scene(),
-                &indices,
-                &pipeline,
-                RasterThreads(n),
-            );
-            assert_eq!(mg, m0, "gated metrics diverged at {n} threads");
-            assert_eq!(gated.to_rgba_vec(), serial.to_rgba_vec());
-            assert_eq!(gated_depth, serial_depth);
+    fn textured_lane_matches_reference() {
+        // The app layer's textured-quad shapes (two triangles, uv flipped
+        // vertically), scaled up and down, over every 4-byte texture and
+        // target order, with white vertices (the pass-through band) and
+        // tinted ones (full modulate), plus uv running past both edges.
+        let tex_sizes = [(1, 1), (7, 5), (64, 64), (256, 256)];
+        let tints = [Rgba::WHITE, Rgba::new(0.25, 0.5, 1.0, 0.75)];
+        let uv_spans = [(0.0f32, 1.0f32), (-0.5, 1.5)];
+        let quad = |tint: Rgba, (lo, hi): (f32, f32)| -> Vec<Vertex> {
+            [
+                ([-0.9f32, -0.8, 0.0], [lo, hi]),
+                ([0.7, -0.8, 0.0], [hi, hi]),
+                ([0.7, 0.9, 0.0], [hi, lo]),
+                ([-0.9, -0.8, 0.0], [lo, hi]),
+                ([0.7, 0.9, 0.0], [hi, lo]),
+                ([-0.9, 0.9, 0.0], [lo, lo]),
+            ]
+            .iter()
+            .map(|&(p, uv)| Vertex { pos: p, color: tint, uv })
+            .collect()
+        };
+        for tex_fmt in [PixelFormat::Rgba8888, PixelFormat::Bgra8888] {
+            for (tw, th) in tex_sizes {
+                let tex = Image::new(tw, th, tex_fmt);
+                tex.buffer().write(|b| {
+                    for (i, byte) in b.iter_mut().enumerate() {
+                        *byte = (i as u32).wrapping_mul(2_654_435_761).rotate_left(7) as u8;
+                    }
+                });
+                for target_fmt in [PixelFormat::Rgba8888, PixelFormat::Bgra8888] {
+                    for tint in tints {
+                        for span in uv_spans {
+                            let verts = quad(tint, span);
+                            let indices = [0u32, 1, 2, 3, 4, 5];
+                            let pipeline = Pipeline { texture: Some(&tex), ..Pipeline::default() };
+                            let fast = Image::new(97, 61, target_fmt);
+                            let slow = Image::new(97, 61, target_fmt);
+                            let mf = draw_indexed(&fast, None, &verts, &indices, &pipeline);
+                            let ms = reference::draw_indexed(&slow, None, &verts, &indices, &pipeline);
+                            let case = format!("{tex_fmt} {tw}x{th} -> {target_fmt} {tint:?} {span:?}");
+                            assert_eq!(mf, ms, "metrics diverged: {case}");
+                            assert_eq!(fast.to_rgba_vec(), slow.to_rgba_vec(), "pixels diverged: {case}");
+                        }
+                    }
+                }
+            }
         }
     }
 
     #[test]
-    fn tiling_gate_uses_pixel_threshold_and_host_cores() {
-        // Small draws never tile; huge draws tile only on multicore hosts.
-        assert!(!tiling_profitable(0));
-        assert!(!tiling_profitable(TILE_MIN_PIXELS - 1));
-        assert_eq!(tiling_profitable(TILE_MIN_PIXELS), host_parallelism() >= 2);
-        assert_eq!(tiling_profitable(u64::MAX), host_parallelism() >= 2);
+    fn white_band_endpoints_keep_every_byte() {
+        // The pass-through proof: at both band endpoints, modulating any
+        // byte by the weight sum quantizes back to the same byte, and
+        // monotonicity in the sum covers the interior. Just outside the
+        // band some byte must change, or the band could be wider.
+        for b in 0..=255u8 {
+            for s in [WHITE_BAND.0, WHITE_BAND.1] {
+                assert_eq!(quantize_unit(UNIT[b as usize] * s), b, "byte {b} at s = {s}");
+            }
+        }
+        let below = WHITE_BAND.0 - 0.001;
+        let above = WHITE_BAND.1 + 0.001;
+        assert!((0..=255u8).any(|b| quantize_unit(UNIT[b as usize] * below) != b));
+        assert!((0..=255u8).any(|b| quantize_unit(UNIT[b as usize] * above) != b));
+    }
+
+    #[test]
+    fn byte_sampling_helpers_match_their_specs() {
+        // UNIT is the decode of each byte; swap_rb is the RGBA/BGRA
+        // reorder; texel_index_trunc is texel_index without libm floor.
+        for b in 0..=255u8 {
+            let px = [b, 0, 0, 0];
+            assert_eq!(UNIT[b as usize], PixelFormat::Rgba8888.decode(&px).r);
+        }
+        assert_eq!(swap_rb(u32::from_le_bytes([1, 2, 3, 4])), u32::from_le_bytes([3, 2, 1, 4]));
+        let specials = [
+            0.0f32, -0.0, 1.0, 0.5, f32::NAN, f32::INFINITY, f32::NEG_INFINITY,
+            f32::MIN_POSITIVE, 1.0 - f32::EPSILON, -1.0, 2.0,
+        ];
+        for size in [1u32, 2, 3, 7, 64, 255, 256, 1280, 4099, i32::MAX as u32] {
+            let (size_f, last) = (size as f32, size as i32 - 1);
+            let sweep = (0..=4096).map(|i| i as f32 / 4096.0 * 1.25 - 0.125);
+            for c in specials.into_iter().chain(sweep) {
+                assert_eq!(
+                    texel_index_trunc(c, size_f, last),
+                    texel_index(c, size) as i32,
+                    "coord {c} size {size}"
+                );
+            }
+        }
     }
 
     #[test]

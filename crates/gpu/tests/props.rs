@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use cycada_gpu::math::Mat4;
-use cycada_gpu::raster::{self, Pipeline, RasterThreads, Rect};
+use cycada_gpu::raster::{self, Pipeline, Rect};
 use cycada_gpu::{BlendMode, Image, PixelFormat, Rgba, Vertex};
 
 fn arb_color() -> impl Strategy<Value = Rgba> {
@@ -19,6 +19,43 @@ fn arb_vertex() -> impl Strategy<Value = Vertex> {
         arb_color(),
     )
         .prop_map(|(x, y, z, color)| Vertex::colored([x, y, z], color))
+}
+
+/// A vertex with a texture coordinate that may lie outside `[0, 1]`.
+fn arb_textured_vertex() -> impl Strategy<Value = Vertex> {
+    (arb_vertex(), -1.5f32..2.5, -1.5f32..2.5)
+        .prop_map(|(v, s, t)| Vertex { uv: [s, t], ..v })
+}
+
+const FORMATS: [PixelFormat; 4] = [
+    PixelFormat::Rgba8888,
+    PixelFormat::Bgra8888,
+    PixelFormat::Rgb565,
+    PixelFormat::Alpha8,
+];
+
+/// An image whose raw bytes (row padding included) are a deterministic
+/// pseudo-random stream, so every pixel and every channel differs.
+fn random_image(w: u32, h: u32, format: PixelFormat, pad: usize, seed: u64) -> Image {
+    let img = Image::with_row_bytes(w, h, format, w as usize * format.bytes_per_pixel() + pad);
+    let mut state = seed | 1;
+    img.buffer().write(|bytes| {
+        for b in bytes.iter_mut() {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            *b = (state >> 56) as u8;
+        }
+    });
+    img
+}
+
+/// FNV-1a over the canonical RGBA bytes: the definition `pixel_hash`
+/// must keep.
+fn fnv_of_rgba(img: &Image) -> u64 {
+    img.to_rgba_vec().iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
 }
 
 proptest! {
@@ -137,71 +174,29 @@ proptest! {
     }
 
     #[test]
-    fn pixel_hash_is_format_independent(w in 1u32..8, h in 1u32..8, color in arb_color()) {
+    fn pixel_hash_is_format_independent(
+        w in 1u32..8, h in 1u32..8, color in arb_color(),
+        pad in 0usize..9, seed: u64,
+    ) {
         let a = Image::new(w, h, PixelFormat::Rgba8888);
         let b = Image::new(w, h, PixelFormat::Bgra8888);
         a.fill(color);
         b.fill(color);
         prop_assert_eq!(a.pixel_hash(), b.pixel_hash());
-    }
-
-    // ------------------------------------------------------------------
-    // Raster-plane equivalence: the span rasterizer and the per-pixel
-    // reference implementation must be byte-identical on arbitrary input
-    // (the Acid3 "pixel for pixel" criterion applied to the fast paths).
-    // ------------------------------------------------------------------
-
-    #[test]
-    fn span_rasterizer_matches_reference_on_triangle_soups(
-        verts in prop::collection::vec(arb_vertex(), 3..24),
-        alpha_blend: bool,
-        depth_test: bool,
-        w in 1u32..40, h in 1u32..40,
-    ) {
-        let n = verts.len() / 3 * 3;
-        let indices: Vec<u32> = (0..n as u32).collect();
-        let pipeline = Pipeline {
-            blend: if alpha_blend { BlendMode::Alpha } else { BlendMode::Opaque },
-            depth_test,
-            ..Pipeline::default()
-        };
-        let fast = Image::new(w, h, PixelFormat::Rgba8888);
-        let slow = Image::new(w, h, PixelFormat::Rgba8888);
-        let mut fast_depth = raster::depth_buffer_for(&fast);
-        let mut slow_depth = raster::depth_buffer_for(&slow);
-        let mf = raster::draw_indexed(
-            &fast, Some(&mut fast_depth), &verts[..n], &indices, &pipeline,
-        );
-        let ms = raster::reference::draw_indexed(
-            &slow, Some(&mut slow_depth), &verts[..n], &indices, &pipeline,
-        );
-        prop_assert_eq!(mf, ms);
-        prop_assert_eq!(fast.to_rgba_vec(), slow.to_rgba_vec());
-        prop_assert_eq!(fast_depth, slow_depth);
-    }
-
-    #[test]
-    fn tiled_rasterizer_is_byte_identical_across_thread_counts(
-        verts in prop::collection::vec(arb_vertex(), 3..15),
-        w in 1u32..32, h in 1u32..32,
-    ) {
-        let n = verts.len() / 3 * 3;
-        let indices: Vec<u32> = (0..n as u32).collect();
-        let pipeline = Pipeline { blend: BlendMode::Alpha, ..Pipeline::default() };
-        let serial = Image::new(w, h, PixelFormat::Rgba8888);
-        let m1 = raster::draw_indexed(&serial, None, &verts[..n], &indices, &pipeline);
-        for threads in [2usize, 4, 8] {
-            let tiled = Image::new(w, h, PixelFormat::Rgba8888);
-            let m = raster::draw_indexed_tiled(
-                &tiled, None, &verts[..n], &indices, &pipeline, RasterThreads(threads),
-            );
-            prop_assert_eq!(m, m1, "metrics diverged at {} threads", threads);
-            prop_assert_eq!(
-                tiled.to_rgba_vec(), serial.to_rgba_vec(),
-                "pixels diverged at {} threads", threads
-            );
+        // Random per-pixel contents in every format, padded rows included:
+        // the byte-level digest equals FNV-1a over `to_rgba_vec()`.
+        for format in FORMATS {
+            let img = random_image(w, h, format, pad, seed);
+            prop_assert_eq!(img.pixel_hash(), fnv_of_rgba(&img), "{}", format);
         }
     }
+
+    // ------------------------------------------------------------------
+    // Raster-plane equivalence: the fast paths and the per-pixel reference
+    // implementation must be byte-identical on arbitrary input (the Acid3
+    // "pixel for pixel" criterion). The triangle-soup check runs in its
+    // own block below, at more cases.
+    // ------------------------------------------------------------------
 
     #[test]
     fn blit_fast_path_matches_reference(
@@ -334,5 +329,53 @@ proptest! {
             }
         }
         prop_assert_eq!(fast.to_rgba_vec(), slow.to_rgba_vec());
+    }
+}
+
+proptest! {
+    // Textured lane inputs are a fraction of the cases (opaque, no depth
+    // test, a 4-byte texture), hence four times the default case count.
+    #![proptest_config(ProptestConfig::with_cases(384))]
+
+    #[test]
+    fn span_rasterizer_matches_reference_on_triangle_soups(
+        verts in prop::collection::vec(arb_textured_vertex(), 3..24),
+        alpha_blend: bool,
+        depth_test: bool,
+        w in 1u32..40, h in 1u32..40,
+        target_bgra: bool,
+        texture in prop::option::of((0usize..4, 1u32..=64, 1u32..=64, 0usize..5, any::<u64>())),
+        white: bool,
+    ) {
+        let mut verts = verts;
+        if white {
+            // Every textured quad the app layer draws has white vertices.
+            for v in &mut verts {
+                v.color = Rgba::WHITE;
+            }
+        }
+        let tex = texture.map(|(f, tw, th, pad, seed)| random_image(tw, th, FORMATS[f], pad, seed));
+        let n = verts.len() / 3 * 3;
+        let indices: Vec<u32> = (0..n as u32).collect();
+        let pipeline = Pipeline {
+            blend: if alpha_blend { BlendMode::Alpha } else { BlendMode::Opaque },
+            depth_test,
+            texture: tex.as_ref(),
+            ..Pipeline::default()
+        };
+        let format = if target_bgra { PixelFormat::Bgra8888 } else { PixelFormat::Rgba8888 };
+        let fast = Image::new(w, h, format);
+        let slow = Image::new(w, h, format);
+        let mut fast_depth = raster::depth_buffer_for(&fast);
+        let mut slow_depth = raster::depth_buffer_for(&slow);
+        let mf = raster::draw_indexed(
+            &fast, Some(&mut fast_depth), &verts[..n], &indices, &pipeline,
+        );
+        let ms = raster::reference::draw_indexed(
+            &slow, Some(&mut slow_depth), &verts[..n], &indices, &pipeline,
+        );
+        prop_assert_eq!(mf, ms);
+        prop_assert_eq!(fast.to_rgba_vec(), slow.to_rgba_vec());
+        prop_assert_eq!(fast_depth, slow_depth);
     }
 }

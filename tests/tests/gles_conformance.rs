@@ -166,6 +166,31 @@ fn texture_sub_updates() {
 }
 
 #[test]
+fn malformed_sub_image_uploads_are_rejected_not_fatal() {
+    // Too little data for the rect, and an x offset whose `x + width`
+    // wraps u32: both paths record GL_INVALID_VALUE instead of
+    // panicking, and the texture keeps its contents.
+    assert_conformant(GlesVersion::V1, "texsub-malformed", |app| {
+        let tex = app
+            .create_texture(4, 4, TexFormat::Rgba, &[96u8; 4 * 4 * 4])
+            .unwrap();
+        app.update_texture(tex, 0, 0, 4, 4, TexFormat::Rgba, &[0; 4])
+            .unwrap();
+        app.update_texture(tex, u32::MAX, 0, 2, 1, TexFormat::Rgba, &[0; 8])
+            .unwrap();
+        app.clear(0.0, 0.0, 0.0, 1.0).unwrap();
+        app.draw_textured_quad(tex, -1.0, -1.0, 1.0, 1.0).unwrap();
+    });
+    let app = AppGl::boot_with_display(Platform::StockAndroid, GlesVersion::V1, SMALL).unwrap();
+    let tex = app.create_texture(4, 4, TexFormat::Rgba, &[96u8; 64]).unwrap();
+    app.update_texture(tex, u32::MAX, 0, 2, 1, TexFormat::Rgba, &[0; 8])
+        .unwrap();
+    app.draw_textured_quad(tex, -1.0, -1.0, 1.0, 1.0).unwrap();
+    let center = app.render_target().unwrap().pixel_rgba(48, 36).to_bytes();
+    assert_eq!(center, [96, 96, 96, 96]);
+}
+
+#[test]
 fn transform_stack_composition() {
     for version in [GlesVersion::V1, GlesVersion::V2] {
         assert_conformant(version, "transforms", |app| {
