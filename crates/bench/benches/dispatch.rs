@@ -14,12 +14,13 @@
 
 use std::collections::HashMap;
 use std::hint::black_box;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use cycada_diplomat::{DiplomatEntry, DiplomatPattern, DiplomatTable, FnId, HookKind};
+use cycada_diplomat::{DiplomatEntry, DiplomatPattern, FnId, HookKind};
 use cycada_gles::GlesRegistry;
+use cycada_sim::intern::FnDense;
 use cycada_sim::stats::{FunctionStats, LegacyStringStats};
 
 use parking_lot::Mutex;
@@ -71,10 +72,10 @@ fn bench_legacy_string_keyed(c: &mut Criterion) {
 /// The new shape: call-site-cached FnId, dense table, sharded atomics.
 fn bench_interned_fnid(c: &mut Criterion) {
     GlesRegistry::global();
-    let table = DiplomatTable::new();
+    let table: FnDense<OnceLock<Arc<DiplomatEntry>>> = FnDense::new();
     let ids: Vec<FnId> = HOT_NAMES.iter().map(|n| FnId::intern(n)).collect();
     for &id in &ids {
-        table.get_or_register(id, || entry_for(id));
+        table.get_or_init(id, || Arc::new(entry_for(id)));
     }
     let stats = FunctionStats::new();
     let mut i = 0usize;

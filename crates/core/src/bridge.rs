@@ -18,13 +18,11 @@
 use std::cell::RefCell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 
-use cycada_diplomat::{
-    DiplomatEngine, DiplomatEntry, DiplomatPattern, DiplomatTable, FnId, HookKind,
-};
+use cycada_diplomat::{DiplomatEngine, DiplomatEntry, DiplomatPattern, FnId, HookKind};
 use cycada_egl::loadout::VENDOR_GLES_LIB;
 use cycada_egl::AndroidEgl;
 use cycada_gles::{
@@ -33,6 +31,7 @@ use cycada_gles::{
 };
 use cycada_gpu::math::Mat4;
 use cycada_kernel::SimTid;
+use cycada_sim::intern::FnDense;
 use cycada_sim::{fn_id, trace};
 
 
@@ -84,7 +83,7 @@ type DeleteHook = Box<dyn Fn(&[u32]) + Send + Sync>;
 pub struct GlesBridge {
     engine: Arc<DiplomatEngine>,
     egl: Arc<AndroidEgl>,
-    entries: DiplomatTable,
+    entries: FnDense<OnceLock<Arc<DiplomatEntry>>>,
     instance: u64,
     on_delete_textures: Mutex<Option<DeleteHook>>,
 }
@@ -100,7 +99,7 @@ impl GlesBridge {
         GlesBridge {
             engine,
             egl,
-            entries: DiplomatTable::new(),
+            entries: FnDense::new(),
             instance,
             on_delete_textures: Mutex::new(None),
         }
@@ -123,8 +122,14 @@ impl GlesBridge {
         android_symbol: &'static str,
         pattern: DiplomatPattern,
     ) -> &Arc<DiplomatEntry> {
-        self.entries.get_or_register(id, || {
-            DiplomatEntry::with_id(id, VENDOR_GLES_LIB, android_symbol, pattern, HookKind::Gles)
+        self.entries.get_or_init(id, || {
+            Arc::new(DiplomatEntry::with_id(
+                id,
+                VENDOR_GLES_LIB,
+                android_symbol,
+                pattern,
+                HookKind::Gles,
+            ))
         })
     }
 
@@ -842,7 +847,7 @@ impl GlesBridge {
     /// Introspection: the usage pattern recorded for a bridged function
     /// that has been called at least once.
     pub fn called_pattern(&self, name: &str) -> Option<DiplomatPattern> {
-        self.entries.by_name(name).map(|e| e.pattern())
+        self.entries.get(FnId::lookup(name)?).map(|e| e.pattern())
     }
 }
 
@@ -872,7 +877,7 @@ impl Drop for GlesBridge {
 impl fmt::Debug for GlesBridge {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("GlesBridge")
-            .field("entries", &self.entries.len())
+            .field("entries", &self.entries)
             .finish()
     }
 }

@@ -233,8 +233,10 @@ impl Eagl {
     ///
     /// # Errors
     ///
-    /// Returns [`CycadaError::Eagl`] for unknown contexts or allocation
-    /// failures.
+    /// Returns [`CycadaError::Eagl`] for unknown contexts, when no context
+    /// is current on `tid` (no renderbuffer name can be generated), or
+    /// when `ctx` is destroyed concurrently; the drawable's IOSurface is
+    /// released on every error path.
     pub fn renderbuffer_storage_from_drawable(
         &self,
         tid: SimTid,
@@ -246,17 +248,47 @@ impl Eagl {
         let iosurface = self
             .iosurface_bridge
             .create(tid, SurfaceProps::bgra(width, height))?;
-        let renderbuffer = self.bridge.gen_renderbuffers(tid, 1)?[0];
+        let attached = self.attach_drawable(tid, ctx, &iosurface, width, height);
+        if attached.is_err() {
+            // The error being returned is the one the app needs; a failed
+            // release here would only mask it.
+            let _ = self.iosurface_bridge.release(tid, &iosurface);
+        }
+        attached
+    }
+
+    /// The fallible tail of [`Eagl::renderbuffer_storage_from_drawable`]:
+    /// binds `iosurface` to a fresh renderbuffer and stores the drawable
+    /// on `ctx`'s record.
+    fn attach_drawable(
+        &self,
+        tid: SimTid,
+        ctx: EaglContextId,
+        iosurface: &IOSurface,
+        width: u32,
+        height: u32,
+    ) -> Result<u32> {
+        let renderbuffer = *self
+            .bridge
+            .gen_renderbuffers(tid, 1)?
+            .first()
+            .ok_or_else(|| {
+                CycadaError::Eagl(
+                    "renderbufferStorage:fromDrawable: with no current context".into(),
+                )
+            })?;
         self.iosurface_bridge
             .renderbuffer_storage_io_surface(tid, iosurface.id(), renderbuffer)?;
         let staging =
             cycada_gpu::Image::new(width, height, cycada_gpu::PixelFormat::Rgba8888);
-        self.contexts
-            .lock()
-            .get_mut(&ctx)
-            .expect("checked above")
-            .drawable = Some(Drawable {
-            iosurface,
+        let mut contexts = self.contexts.lock();
+        let record = contexts.get_mut(&ctx).ok_or_else(|| {
+            CycadaError::Eagl(format!(
+                "EAGLContext {ctx} destroyed during renderbufferStorage:fromDrawable:"
+            ))
+        })?;
+        record.drawable = Some(Drawable {
+            iosurface: iosurface.clone(),
             renderbuffer,
             staging,
         });
@@ -297,23 +329,9 @@ impl Eagl {
         };
         // Stage the BGRA drawable into an RGBA texture source, render it
         // into the default framebuffer, then swap — the full unoptimized
-        // path of §5. With recording on (the default), the two render
-        // diplomats charge identically but defer their byte work into a
-        // command list built lock-free on this thread; the list executes
-        // under per-buffer guards before `eglSwapBuffers` reads the back
-        // buffer, so the swapped pixels are identical either way
-        // (DESIGN.md §5f).
-        let device = self.egl_bridge.device_for_thread(tid)?;
-        if device.recording() {
-            let mut rec = cycada_gpu::CommandRecorder::new();
-            self.egl_bridge
-                .copy_tex_buf_record(tid, &drawable_image, &staging, &mut rec)?;
-            self.egl_bridge.draw_fbo_tex_record(tid, &staging, &mut rec)?;
-            device.execute(rec.finish());
-        } else {
-            self.egl_bridge.copy_tex_buf(tid, &drawable_image, &staging)?;
-            self.egl_bridge.draw_fbo_tex(tid, &staging)?;
-        }
+        // path of §5 (DESIGN.md §5f).
+        self.egl_bridge.copy_tex_buf(tid, &drawable_image, &staging)?;
+        self.egl_bridge.draw_fbo_tex(tid, &staging)?;
         self.egl_bridge.swap_buffers(tid, window_surface)?;
         Ok(())
     }

@@ -12,13 +12,11 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 
-use cycada_diplomat::{
-    DiplomatEngine, DiplomatEntry, DiplomatPattern, DiplomatTable, FnId, HookKind,
-};
+use cycada_diplomat::{DiplomatEngine, DiplomatEntry, DiplomatPattern, FnId, HookKind};
 use cycada_egl::{AndroidEgl, EglImageId};
 use cycada_gles::TexFormat;
 use cycada_gpu::PixelFormat;
@@ -26,6 +24,7 @@ use cycada_gralloc::{GraphicBuffer, GraphicBufferAllocator};
 use cycada_iosurface::{IOSurface, IOSurfaceApi, SurfaceProps};
 use cycada_kernel::SimTid;
 use cycada_sim::fn_id;
+use cycada_sim::intern::FnDense;
 
 use crate::egl_bridge::{LIBEGLBRIDGE, LIBUI_WRAPPER};
 use crate::error::CycadaError;
@@ -46,7 +45,7 @@ pub struct IoSurfaceBridge {
     iosurface: Arc<IOSurfaceApi>,
     allocator: GraphicBufferAllocator,
     table: Mutex<HashMap<u64, CycadaSurface>>,
-    entries: DiplomatTable,
+    entries: FnDense<OnceLock<Arc<DiplomatEntry>>>,
 }
 
 impl IoSurfaceBridge {
@@ -63,7 +62,7 @@ impl IoSurfaceBridge {
             iosurface,
             allocator,
             table: Mutex::new(HashMap::new()),
-            entries: DiplomatTable::new(),
+            entries: FnDense::new(),
         }
     }
 
@@ -74,8 +73,14 @@ impl IoSurfaceBridge {
         symbol: &'static str,
         pattern: DiplomatPattern,
     ) -> &Arc<DiplomatEntry> {
-        self.entries.get_or_register(id, || {
-            DiplomatEntry::with_id(id, library, symbol, pattern, HookKind::Gles)
+        self.entries.get_or_init(id, || {
+            Arc::new(DiplomatEntry::with_id(
+                id,
+                library,
+                symbol,
+                pattern,
+                HookKind::Gles,
+            ))
         })
     }
 

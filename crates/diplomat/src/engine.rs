@@ -412,6 +412,7 @@ mod tests {
     use super::*;
     use crate::error::DiplomatError;
     use cycada_linker::LibraryImage;
+    use cycada_sim::intern::FnDense;
     use cycada_sim::Platform;
 
     fn setup() -> (Arc<Kernel>, Arc<DiplomatEngine>, SimTid) {
@@ -563,6 +564,37 @@ mod tests {
         let rec = engine.stats().get("glFlush").unwrap();
         assert_eq!(rec.calls, 1);
         assert!(rec.total_ns >= 816);
+    }
+
+    /// The bridges' entry table: one `Arc<DiplomatEntry>` per interned id.
+    fn registered(id: FnId) -> DiplomatEntry {
+        DiplomatEntry::with_id(
+            id,
+            "libGLESv2_tegra.so",
+            "glFlush",
+            DiplomatPattern::Direct,
+            HookKind::None,
+        )
+    }
+
+    #[test]
+    fn registration_is_once_per_id() {
+        let table: FnDense<OnceLock<Arc<DiplomatEntry>>> = FnDense::new();
+        let id = FnId::intern("table_test_fn");
+        assert!(table.get(id).is_none());
+        let a = Arc::clone(table.get_or_init(id, || Arc::new(registered(id))));
+        let b = Arc::clone(table.get_or_init(id, || Arc::new(registered(id))));
+        assert!(Arc::ptr_eq(&a, &b));
+    }
+
+    #[test]
+    fn by_name_finds_registered_entries_only() {
+        let table: FnDense<OnceLock<Arc<DiplomatEntry>>> = FnDense::new();
+        let by_name = |name| FnId::lookup(name).and_then(|id| table.get(id));
+        let id = FnId::intern("table_test_named");
+        table.get_or_init(id, || Arc::new(registered(id)));
+        assert!(by_name("table_test_named").is_some());
+        assert!(by_name("table_test_absent").is_none());
     }
 
     #[test]

@@ -27,17 +27,15 @@
 mod engine;
 mod error;
 mod impersonation;
-mod table;
 mod tls;
 
 pub use engine::{DiplomatEngine, DiplomatEntry, DiplomatPattern, HookKind, StatsScopeGuard};
 pub use error::DiplomatError;
 pub use impersonation::ImpersonationGuard;
-pub use table::DiplomatTable;
 pub use tls::GraphicsTls;
 
 // Re-exported so bridge crates can name ids without a direct cycada-sim
-// import (and so `cycada_sim::fn_id!` composes with diplomat tables).
+// import (and so `cycada_sim::fn_id!` composes with their entry tables).
 pub use cycada_sim::intern::FnId;
 
 /// Convenient result alias for diplomat operations.

@@ -1547,25 +1547,6 @@ impl GlesContext {
             .fragments
     }
 
-    /// [`GlesContext::draw_fullscreen_image`] with the byte work deferred:
-    /// the render target is resolved and all costs/stats charged *now*, on
-    /// the issuing thread, while the rasterization is appended to `rec`
-    /// for a later [`cycada_gpu::GpuDevice::execute`] (DESIGN.md §5f).
-    /// Returns fragments shaded, exactly as the immediate path would.
-    pub fn record_fullscreen_image(
-        &mut self,
-        rec: &mut cycada_gpu::CommandRecorder,
-        image: &Image,
-    ) -> u64 {
-        let Some(target) = self.render_target() else {
-            self.record_error(GlError::InvalidFramebufferOperation);
-            return 0;
-        };
-        self.device
-            .record_fullscreen_image(rec, &target, image, self.draw_class)
-            .fragments
-    }
-
     /// `glReadPixels`: packs the target's pixels into `out` honouring the
     /// pack alignment / `APPLE_row_bytes` state. Returns bytes written.
     pub fn read_pixels(

@@ -6,12 +6,8 @@
 //! are per-field atomics, fences live in a [`SlotTable`] (per-slot locks,
 //! lock-free dense lookup), and pixel work serializes only on the target
 //! image's own buffer guard — so sessions driving disjoint render targets
-//! never contend on the device. The record/execute split
-//! ([`GpuDevice::record_blit`] / [`GpuDevice::execute`]) lets the present
-//! chain build an immutable command list lock-free on the issuing thread
-//! (charging all virtual time there, keeping per-session meters exact) and
-//! defer the byte work to a single rasterization pass under per-buffer
-//! guards.
+//! never contend on the device. Every command charges its virtual time
+//! on the issuing thread, so per-session meters stay exact.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -24,7 +20,6 @@ use crate::fence::{Fence, FenceCondition, FenceId};
 use crate::format::{PixelFormat, Rgba};
 use crate::image::Image;
 use crate::raster::{self, Pipeline, RasterMetrics, Rect, Vertex};
-use crate::record::{CommandList, CommandRecorder, GpuCommand};
 
 /// Whether work goes down the 2D (vector/canvas) or 3D path. The two paths
 /// have different relative efficiency per device (Figure 6: the iPad is
@@ -142,7 +137,6 @@ pub struct GpuDevice {
     clock: VirtualClock,
     cost: GpuCostModel,
     reference_raster: AtomicBool,
-    recording: AtomicBool,
     next_fence: AtomicU64,
     submitted_seq: AtomicU64,
     retired_seq: AtomicU64,
@@ -157,7 +151,6 @@ impl GpuDevice {
             clock,
             cost,
             reference_raster: AtomicBool::new(false),
-            recording: AtomicBool::new(true),
             next_fence: AtomicU64::new(0),
             submitted_seq: AtomicU64::new(0),
             retired_seq: AtomicU64::new(0),
@@ -178,39 +171,6 @@ impl GpuDevice {
     /// Whether draws are routed through the reference rasterizer.
     pub fn reference_raster(&self) -> bool {
         self.reference_raster.load(Ordering::Relaxed)
-    }
-
-    /// Enables or disables present-chain command recording (on by
-    /// default). When enabled, callers that support it (the EAGL present
-    /// chain) build a [`CommandRecorder`] list lock-free on the issuing
-    /// thread and defer the byte work to one [`GpuDevice::execute`] pass;
-    /// when disabled they perform every command immediately. Pixels,
-    /// stats and virtual time are identical either way — the differential
-    /// fuzzer runs both modes.
-    pub fn set_recording(&self, on: bool) {
-        self.recording.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether present-chain command recording is enabled.
-    pub fn recording(&self) -> bool {
-        self.recording.load(Ordering::Relaxed)
-    }
-
-    /// Enables or disables damage tracking (default on) — the
-    /// compositor plane's kill switch (DESIGN.md §5g). The gate is
-    /// process-wide (damage journals live on the shared buffers, not
-    /// on any one device); this method mirrors
-    /// [`GpuDevice::set_recording`]'s surface for callers holding a
-    /// device handle. Off forces every composition down the full
-    /// recomposition path: output bytes and metered virtual time are
-    /// identical either way, only host wall time changes.
-    pub fn set_damage_tracking(&self, on: bool) {
-        cycada_sim::damage::set_tracking(on);
-    }
-
-    /// Whether damage tracking is enabled (process-wide).
-    pub fn damage_tracking(&self) -> bool {
-        cycada_sim::damage::tracking()
     }
 
     /// The device's cost model.
@@ -337,17 +297,16 @@ impl GpuDevice {
         self.submit();
         self.stats.draws.fetch_add(1, Ordering::Relaxed);
         let metrics = raster::coverage_metrics(target, &quad, &QUAD_INDICES, &pipeline);
+        Self::probe_target_contention(target);
         raster::blit(src, Rect::of_image(src), target, Rect::of_image(target));
         self.charge_draw(metrics, class);
         metrics
     }
 
-    /// Destination pixels a blit of these rectangles writes — the unit
-    /// copy costs are charged in, computable without performing the copy.
     /// Pixels a blit between these rectangles is charged for (the rule
     /// [`GpuDevice::blit`] applies): zero if either rectangle is empty,
-    /// else the destination area. Exposed so deferred presenters can
-    /// charge exactly what the synchronous path would.
+    /// else the destination area. Exposed so the flinger's deferred
+    /// composition can charge exactly what a synchronous blit would.
     pub fn blit_pixels(src_rect: Rect, dst_rect: Rect) -> u64 {
         if src_rect.w == 0 || src_rect.h == 0 || dst_rect.w == 0 || dst_rect.h == 0 {
             0
@@ -363,13 +322,18 @@ impl GpuDevice {
     /// Panics if either rectangle is out of bounds.
     pub fn blit(&self, src: &Image, src_rect: Rect, dst: &Image, dst_rect: Rect, class: DrawClass) {
         self.charge_blit_pixels(Self::blit_pixels(src_rect, dst_rect), class);
-        self.blit_bytes(src, src_rect, dst, dst_rect);
+        Self::probe_target_contention(dst);
+        if self.reference_raster() {
+            raster::reference::blit(src, src_rect, dst, dst_rect);
+        } else {
+            raster::blit(src, src_rect, dst, dst_rect);
+        }
     }
 
     /// The accounting half of a blit: submits the command, counts it and
-    /// charges `pixels` of copy cost — on the calling thread, which is
-    /// what keeps per-session virtual time exact when the byte work is
-    /// deferred (recorded present chains, the flinger's present queue).
+    /// charges `pixels` of copy cost on the calling thread. The flinger
+    /// charges its deferred composition blits through this, keeping
+    /// per-session virtual time exact.
     pub fn charge_blit_pixels(&self, pixels: u64, class: DrawClass) {
         self.submit();
         self.stats.blits.fetch_add(1, Ordering::Relaxed);
@@ -378,126 +342,9 @@ impl GpuDevice {
         );
     }
 
-    /// The byte half of a blit: performs the copy under the two buffer
-    /// guards, charging nothing. Pair with [`GpuDevice::charge_blit_pixels`]
-    /// on the issuing thread.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either rectangle is out of bounds.
-    pub fn blit_bytes(&self, src: &Image, src_rect: Rect, dst: &Image, dst_rect: Rect) -> u64 {
-        if self.reference_raster() {
-            raster::reference::blit(src, src_rect, dst, dst_rect)
-        } else {
-            raster::blit(src, src_rect, dst, dst_rect)
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Command recording (record on the issuing thread, execute deferred)
-    // ------------------------------------------------------------------
-
-    /// Records a clear: charges exactly what [`GpuDevice::clear`] charges
-    /// (on this thread, now) and defers the fill to execution.
-    pub fn record_clear(
-        &self,
-        rec: &mut CommandRecorder,
-        target: &Image,
-        color: Rgba,
-        class: DrawClass,
-    ) {
-        self.submit();
-        self.stats.clears.fetch_add(1, Ordering::Relaxed);
-        self.charge_clear(target, class);
-        rec.push(GpuCommand::Clear {
-            target: target.clone(),
-            color,
-        });
-    }
-
-    /// Records a blit: charges exactly what [`GpuDevice::blit`] charges
-    /// (on this thread, now) and defers the copy to execution.
-    pub fn record_blit(
-        &self,
-        rec: &mut CommandRecorder,
-        src: &Image,
-        src_rect: Rect,
-        dst: &Image,
-        dst_rect: Rect,
-        class: DrawClass,
-    ) {
-        self.charge_blit_pixels(Self::blit_pixels(src_rect, dst_rect), class);
-        rec.push(GpuCommand::Blit {
-            src: src.clone(),
-            src_rect,
-            dst: dst.clone(),
-            dst_rect,
-        });
-    }
-
-    /// Records a full-screen textured-quad draw. Metrics are computed
-    /// exactly (count-only rasterization) and charged on this thread;
-    /// the byte work is deferred. Shapes outside the identity lane
-    /// execute immediately instead — same pixels, charges and stats, so
-    /// callers need not care which happened.
-    pub fn record_fullscreen_image(
-        &self,
-        rec: &mut CommandRecorder,
-        target: &Image,
-        src: &Image,
-        class: DrawClass,
-    ) -> RasterMetrics {
-        if !self.fullscreen_identity_eligible(target, src) {
-            return self.fullscreen_image(target, src, class);
-        }
-        self.submit();
-        self.stats.draws.fetch_add(1, Ordering::Relaxed);
-        let quad = fullscreen_quad();
-        let pipeline = Pipeline {
-            texture: Some(src),
-            ..Pipeline::default()
-        };
-        let metrics = raster::coverage_metrics(target, &quad, &QUAD_INDICES, &pipeline);
-        self.charge_draw(metrics, class);
-        rec.push(GpuCommand::FullscreenImage {
-            src: src.clone(),
-            target: target.clone(),
-        });
-        metrics
-    }
-
-    /// Executes a recorded command list: pure byte work, serialized only
-    /// on each target's own buffer guard. All virtual time and stats were
-    /// charged at record time on the issuing thread, so execution can run
-    /// anywhere without perturbing any session's meter.
-    pub fn execute(&self, list: CommandList) {
-        for cmd in list.into_commands() {
-            match cmd {
-                GpuCommand::Clear { target, color } => {
-                    Self::probe_target_contention(&target);
-                    target.fill(color);
-                }
-                GpuCommand::Blit {
-                    src,
-                    src_rect,
-                    dst,
-                    dst_rect,
-                } => {
-                    Self::probe_target_contention(&dst);
-                    self.blit_bytes(&src, src_rect, &dst, dst_rect);
-                }
-                GpuCommand::FullscreenImage { src, target } => {
-                    Self::probe_target_contention(&target);
-                    self.blit_bytes(&src, Rect::of_image(&src), &target, Rect::of_image(&target));
-                }
-            }
-        }
-    }
-
     /// Trace-plane probe: about to take a command target's byte guard,
-    /// observe whether another thread holds it right now — the lock wait
-    /// the record/execute split keeps off the issuing thread. One
-    /// uncontended `try_write` when free; a counter bump when not.
+    /// observe whether another thread holds it right now. One uncontended
+    /// `try_write` when free; a counter bump when not.
     fn probe_target_contention(target: &Image) {
         if target.buffer().try_write_guard().is_none() {
             trace::bump(trace::Counter::DeviceLockWaits);
@@ -864,59 +711,34 @@ mod tests {
     }
 
     #[test]
-    fn record_then_execute_matches_immediate() {
-        // A recorded present chain (clear + blit + fullscreen draw) must
-        // leave identical bytes, stats and virtual time to the immediate
-        // path — with all charges landing at record time.
-        let src = Image::new(64, 48, PixelFormat::Bgra8888);
-        speckle(&src, 3);
-        let staging_rec = Image::new(64, 48, PixelFormat::Rgba8888);
-        let staging_imm = Image::new(64, 48, PixelFormat::Rgba8888);
-        let back_rec = Image::new(64, 48, PixelFormat::Rgba8888);
-        let back_imm = Image::new(64, 48, PixelFormat::Rgba8888);
-
-        let rec_gpu = device();
-        let mut rec = CommandRecorder::new();
-        rec_gpu.record_clear(&mut rec, &back_rec, Rgba::BLUE, DrawClass::TwoD);
-        rec_gpu.record_blit(
-            &mut rec,
-            &src,
-            Rect::of_image(&src),
-            &staging_rec,
-            Rect::of_image(&staging_rec),
-            DrawClass::TwoD,
-        );
-        let m_rec = rec_gpu.record_fullscreen_image(
-            &mut rec,
-            &back_rec,
-            &staging_rec,
-            DrawClass::TwoD,
-        );
-        let charged_at_record = rec_gpu.clock().now_ns();
-        let stats_at_record = rec_gpu.stats();
-        // Nothing has been rasterized yet…
-        assert_eq!(back_rec.pixel_rgba(0, 0).to_bytes(), [0, 0, 0, 0]);
-        rec_gpu.execute(rec.finish());
-        // …and execution charges nothing further.
-        assert_eq!(rec_gpu.clock().now_ns(), charged_at_record);
-        assert_eq!(rec_gpu.stats(), stats_at_record);
-
-        let imm_gpu = device();
-        imm_gpu.clear(&back_imm, Rgba::BLUE, DrawClass::TwoD);
-        imm_gpu.blit(
-            &src,
-            Rect::of_image(&src),
-            &staging_imm,
-            Rect::of_image(&staging_imm),
-            DrawClass::TwoD,
-        );
-        let m_imm = imm_gpu.fullscreen_image(&back_imm, &staging_imm, DrawClass::TwoD);
-
-        assert_eq!(m_rec, m_imm);
-        assert_eq!(back_rec.to_rgba_vec(), back_imm.to_rgba_vec());
-        assert_eq!(staging_rec.to_rgba_vec(), staging_imm.to_rgba_vec());
-        assert_eq!(rec_gpu.clock().now_ns(), imm_gpu.clock().now_ns());
-        assert_eq!(rec_gpu.stats(), imm_gpu.stats());
+    fn blit_into_a_held_target_counts_a_lock_wait() {
+        use std::time::{Duration, Instant};
+        let gpu = device();
+        let src = Image::new(4, 4, PixelFormat::Rgba8888);
+        src.fill(Rgba::GREEN);
+        let dst = Image::new(4, 4, PixelFormat::Rgba8888);
+        let before = trace::counter(trace::Counter::DeviceLockWaits);
+        let (held_tx, held_rx) = std::sync::mpsc::channel();
+        let holder = {
+            let dst = dst.clone();
+            std::thread::spawn(move || {
+                let _guard = dst.buffer().write_guard();
+                held_tx.send(()).unwrap();
+                // Hold the target until the blit has seen it held (bounded,
+                // so a missing probe fails the assertion, not the run).
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while trace::counter(trace::Counter::DeviceLockWaits) == before
+                    && Instant::now() < deadline
+                {
+                    std::thread::yield_now();
+                }
+            })
+        };
+        held_rx.recv().unwrap();
+        gpu.blit(&src, Rect::of_image(&src), &dst, Rect::of_image(&dst), DrawClass::TwoD);
+        holder.join().unwrap();
+        assert!(trace::counter(trace::Counter::DeviceLockWaits) > before);
+        assert_eq!(dst.pixel_rgba(3, 3).to_bytes(), [0, 255, 0, 255]);
     }
 
     #[test]

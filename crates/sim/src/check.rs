@@ -14,7 +14,8 @@
 //! * the trace seqlock ring ([`crate::trace`]): writer publish steps and
 //!   snapshot read/verify steps;
 //! * [`crate::slots::SlotTable`] chunk publication;
-//! * [`crate::intern`] `FnId` interning and `FnTable` slot initialisation;
+//! * [`crate::intern`] `FnId` interning and `FnDense` write-once slot
+//!   initialisation;
 //! * [`crate::VirtualClock::charge_ns`] — the charge ledger, the hottest
 //!   path in the simulator;
 //! * `cycada_diplomat`'s `ImpersonationGuard` begin/end persona walks;

@@ -10,8 +10,8 @@
 //!
 //! This module restores the paper's shape. [`FnId`] interns a function name
 //! into a small dense integer (a `u32` index into a global append-only
-//! table); [`FnTable`] and [`FnDense`] are chunked, lock-free tables keyed
-//! by that integer. Steady-state dispatch becomes: load a cached [`FnId`],
+//! table); [`FnDense`] is the chunked, lock-free table keyed by that
+//! integer. Steady-state dispatch becomes: load a cached [`FnId`],
 //! index a dense slot table, bump atomic counters. Locks are taken only at
 //! registration (first intern of a name) and snapshot time.
 //!
@@ -54,7 +54,7 @@ struct InternTable {
     /// Name → id. Locked only on intern/lookup-by-name, never on dispatch.
     by_name: RwLock<HashMap<&'static str, FnId>>,
     /// Id → name. Lock-free reads for snapshot-time name re-attachment.
-    names: FnTable<&'static str>,
+    names: FnDense<OnceLock<&'static str>>,
     /// Number of ids assigned so far (lock-free mirror of `by_name.len()`).
     len: AtomicU32,
 }
@@ -63,7 +63,7 @@ fn intern_table() -> &'static InternTable {
     static TABLE: OnceLock<InternTable> = OnceLock::new();
     TABLE.get_or_init(|| InternTable {
         by_name: RwLock::new(HashMap::new()),
-        names: FnTable::new(),
+        names: FnDense::new(),
         len: AtomicU32::new(0),
     })
 }
@@ -136,82 +136,37 @@ impl FnId {
     }
 }
 
-/// A chunked, lock-free table mapping [`FnId`] to a once-initialized `T`.
+/// A chunked table of default-initialized values keyed by [`FnId`].
 ///
-/// Slots are write-once ([`OnceLock`] semantics); chunks of [`CHUNK`] slots
-/// are heap-allocated on first touch so an empty table stays small. Reads
-/// on the dispatch fast path are two relaxed pointer loads and an index —
-/// no locks, no hashing.
-pub struct FnTable<T> {
+/// Chunks of [`CHUNK`] slots are heap-allocated on first touch, so an empty
+/// table stays small; every slot in a touched chunk exists immediately with
+/// `T::default()`, and [`FnDense::slot`] therefore always returns a
+/// reference. Reads on the dispatch fast path are two pointer loads and an
+/// index — no locks, no hashing.
+///
+/// Two shapes use it: slots of atomic counters that any thread bumps
+/// without an init handshake (the sharded stats accumulator), and
+/// write-once `FnDense<OnceLock<T>>` slots (the intern name table, the
+/// bridges' diplomat entries), which get [`FnDense::get`] and
+/// [`FnDense::get_or_init`].
+///
+/// # Examples
+///
+/// ```
+/// use std::sync::OnceLock;
+/// use cycada_sim::intern::{FnDense, FnId};
+///
+/// let table: FnDense<OnceLock<&'static str>> = FnDense::new();
+/// let id = FnId::intern("glFlush");
+/// assert!(table.get(id).is_none());
+/// assert_eq!(*table.get_or_init(id, || "libGLESv2_tegra.so"), "libGLESv2_tegra.so");
+/// assert_eq!(table.get(id), Some(&"libGLESv2_tegra.so"));
+/// ```
+pub struct FnDense<T: Default> {
     chunks: [OnceLock<Box<Chunk<T>>>; MAX_CHUNKS],
 }
 
 struct Chunk<T> {
-    slots: [OnceLock<T>; CHUNK],
-}
-
-impl<T> FnTable<T> {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        FnTable {
-            chunks: [const { OnceLock::new() }; MAX_CHUNKS],
-        }
-    }
-
-    fn slot(&self, id: FnId) -> &OnceLock<T> {
-        let i = id.index();
-        let chunk = self.chunks[i / CHUNK].get_or_init(|| {
-            Box::new(Chunk {
-                slots: [const { OnceLock::new() }; CHUNK],
-            })
-        });
-        &chunk.slots[i % CHUNK]
-    }
-
-    /// Returns the value for `id` if its slot has been initialized.
-    pub fn get(&self, id: FnId) -> Option<&T> {
-        let i = id.index();
-        self.chunks.get(i / CHUNK)?.get()?.slots[i % CHUNK].get()
-    }
-
-    /// Returns the value for `id`, initializing the slot with `init` if it
-    /// is empty. Concurrent initializers race benignly; one wins.
-    pub fn get_or_init(&self, id: FnId, init: impl FnOnce() -> T) -> &T {
-        crate::check::schedule_point(
-            "intern.table",
-            std::ptr::from_ref(self) as usize + id.index(),
-            crate::check::Access::Read,
-        );
-        self.slot(id).get_or_init(init)
-    }
-}
-
-impl<T> Default for FnTable<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> std::fmt::Debug for FnTable<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let populated = self.chunks.iter().filter(|c| c.get().is_some()).count();
-        f.debug_struct("FnTable")
-            .field("chunks", &populated)
-            .finish()
-    }
-}
-
-/// A chunked table of default-initialized values keyed by [`FnId`].
-///
-/// Unlike [`FnTable`], every slot in a touched chunk exists immediately with
-/// `T::default()`; [`FnDense::slot`] therefore always returns a reference.
-/// This is the shape the sharded stats accumulator needs: a slot of atomic
-/// counters that any thread can bump without an init handshake per slot.
-pub struct FnDense<T: Default> {
-    chunks: [OnceLock<Box<DenseChunk<T>>>; MAX_CHUNKS],
-}
-
-struct DenseChunk<T> {
     slots: [T; CHUNK],
 }
 
@@ -227,7 +182,7 @@ impl<T: Default> FnDense<T> {
     pub fn slot(&self, id: FnId) -> &T {
         let i = id.index();
         let chunk = self.chunks[i / CHUNK].get_or_init(|| {
-            Box::new(DenseChunk {
+            Box::new(Chunk {
                 slots: std::array::from_fn(|_| T::default()),
             })
         });
@@ -239,6 +194,24 @@ impl<T: Default> FnDense<T> {
     pub fn peek(&self, id: FnId) -> Option<&T> {
         let i = id.index();
         Some(&self.chunks.get(i / CHUNK)?.get()?.slots[i % CHUNK])
+    }
+}
+
+impl<T> FnDense<OnceLock<T>> {
+    /// Returns the value for `id` if its slot has been initialized.
+    pub fn get(&self, id: FnId) -> Option<&T> {
+        self.peek(id)?.get()
+    }
+
+    /// Returns the value for `id`, initializing the slot with `init` if it
+    /// is empty. Concurrent initializers race benignly; one wins.
+    pub fn get_or_init(&self, id: FnId, init: impl FnOnce() -> T) -> &T {
+        crate::check::schedule_point(
+            "intern.table",
+            std::ptr::from_ref(self) as usize + id.index(),
+            crate::check::Access::Read,
+        );
+        self.slot(id).get_or_init(init)
     }
 }
 
@@ -333,7 +306,7 @@ mod tests {
 
     #[test]
     fn fn_table_get_or_init_races_to_one_value() {
-        let table: FnTable<u64> = FnTable::new();
+        let table: FnDense<OnceLock<u64>> = FnDense::new();
         let id = FnId::intern("intern_test_fn_table");
         assert!(table.get(id).is_none());
         assert_eq!(*table.get_or_init(id, || 7), 7);

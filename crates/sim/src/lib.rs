@@ -37,6 +37,7 @@ mod buffer;
 pub mod check;
 mod clock;
 pub mod damage;
+pub mod env_flag;
 pub mod intern;
 mod profile;
 pub mod replay;

@@ -47,11 +47,12 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use crate::env_flag::EnvFlag;
 use crate::{Nanos, Platform, VirtualClock};
 
 /// `.cyt` file magic.
@@ -76,13 +77,9 @@ pub const MARK_END: &str = "cyt:end";
 /// fast path at every call site is a single relaxed load of this.
 static ACTIVE: AtomicU32 = AtomicU32::new(0);
 
-const MASTER_UNINIT: u8 = 0;
-const MASTER_OFF: u8 = 1;
-const MASTER_ON: u8 = 2;
-
-/// Tri-state master switch so the first attach can consult
-/// `CYCADA_RECORD` without adding cost to later attaches.
-static MASTER: AtomicU8 = AtomicU8::new(MASTER_UNINIT);
+/// Master switch, read lazily from `CYCADA_RECORD` (default on) on the
+/// first attach, so later attaches pay one relaxed load.
+static MASTER: EnvFlag = EnvFlag::new("CYCADA_RECORD", true);
 
 /// Whether any recording is attached anywhere in the process. One relaxed
 /// atomic load; instrumented call sites branch on this before doing any
@@ -92,35 +89,16 @@ pub fn active() -> bool {
     ACTIVE.load(Ordering::Relaxed) != 0
 }
 
-#[cold]
-fn init_master() -> bool {
-    let on = match std::env::var("CYCADA_RECORD") {
-        Ok(v) => !matches!(v.trim(), "0" | "off" | "false"),
-        Err(_) => true,
-    };
-    MASTER.store(if on { MASTER_ON } else { MASTER_OFF }, Ordering::Relaxed);
-    on
-}
-
 /// Whether the `CYCADA_RECORD` master switch permits attaching
 /// recordings (it defaults to on; `CYCADA_RECORD=0` kills the plane).
 pub fn master_enabled() -> bool {
-    match MASTER.load(Ordering::Relaxed) {
-        MASTER_ON => true,
-        MASTER_OFF => false,
-        _ => init_master(),
-    }
+    MASTER.get()
 }
 
 /// Overrides the master switch (tests). `None` re-arms the lazy
 /// `CYCADA_RECORD` lookup.
 pub fn set_master(on: Option<bool>) {
-    let state = match on {
-        Some(true) => MASTER_ON,
-        Some(false) => MASTER_OFF,
-        None => MASTER_UNINIT,
-    };
-    MASTER.store(state, Ordering::Relaxed);
+    MASTER.set(on);
 }
 
 thread_local! {

@@ -45,12 +45,13 @@
 use std::cell::{OnceCell, RefCell};
 use std::fmt;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{fence, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use parking_lot::Mutex;
 
+use crate::env_flag::EnvFlag;
 use crate::{Nanos, VirtualClock};
 
 /// Events kept per host thread before the oldest is overwritten.
@@ -60,39 +61,19 @@ pub const RING_CAPACITY: usize = 4096;
 // Global gate
 // ----------------------------------------------------------------------
 
-const GATE_UNINIT: u8 = 0;
-const GATE_OFF: u8 = 1;
-const GATE_ON: u8 = 2;
-
-/// Tri-state so the first check can consult `CYCADA_TRACE` without adding
-/// cost to every later check (a single relaxed load).
-static GATE: AtomicU8 = AtomicU8::new(GATE_UNINIT);
+/// The gate, read lazily from `CYCADA_TRACE` (default off) on the first
+/// check, so every later check is a single relaxed load.
+static GATE: EnvFlag = EnvFlag::new("CYCADA_TRACE", false);
 
 /// Whether event recording is enabled. One relaxed atomic load.
 #[inline]
 pub fn enabled() -> bool {
-    match GATE.load(Ordering::Relaxed) {
-        GATE_ON => true,
-        GATE_OFF => false,
-        _ => init_gate(),
-    }
-}
-
-#[cold]
-fn init_gate() -> bool {
-    let on = std::env::var("CYCADA_TRACE")
-        .map(|v| v == "1" || v.eq_ignore_ascii_case("true") || v.eq_ignore_ascii_case("on"))
-        .unwrap_or(false);
-    let target = if on { GATE_ON } else { GATE_OFF };
-    // Only transition out of UNINIT: an explicit set_enabled racing the
-    // first check must win.
-    let _ = GATE.compare_exchange(GATE_UNINIT, target, Ordering::Relaxed, Ordering::Relaxed);
-    GATE.load(Ordering::Relaxed) == GATE_ON
+    GATE.get()
 }
 
 /// Turns event recording on or off process-wide. Overrides `CYCADA_TRACE`.
 pub fn set_enabled(on: bool) {
-    GATE.store(if on { GATE_ON } else { GATE_OFF }, Ordering::Relaxed);
+    GATE.set(Some(on));
 }
 
 // ----------------------------------------------------------------------
@@ -141,9 +122,10 @@ pub enum Counter {
     /// already torn down (thread exit) — each one is a scan entry that
     /// outlives its bridge until the host thread dies.
     RowBytesTeardownSkips,
-    /// GPU device contention: a command-list execution found its target
-    /// buffer's guard held and had to wait (DESIGN.md §5f). Zero when
-    /// sessions render to disjoint buffers.
+    /// GPU device contention: a blit or the identity lane of a
+    /// full-screen image draw found its target buffer's guard held and
+    /// had to wait (DESIGN.md §5f). Zero when sessions render to
+    /// disjoint buffers.
     DeviceLockWaits,
     /// Gralloc contention: a CPU lock/unlock of a GraphicBuffer found the
     /// pixel guard held by another thread.

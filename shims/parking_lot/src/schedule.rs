@@ -4,7 +4,7 @@
 //! Every synchronization-relevant operation in the workspace funnels
 //! through [`point`]: lock acquire/release in this shim, plus the explicit
 //! `schedule_point()` calls `cycada_sim` sprinkles over its lock-free
-//! structures (trace seqlock, `SlotTable` chunk publication, `FnTable`
+//! structures (trace seqlock, `SlotTable` chunk publication, `FnId`
 //! interning, the `VirtualClock` charge ledger) and `cycada_diplomat`'s
 //! impersonation begin/end.
 //!

@@ -88,6 +88,23 @@ fn delete_drawable_releases_the_iosurface() {
 }
 
 #[test]
+fn drawable_storage_without_a_current_context_errors_and_releases_the_iosurface() {
+    let dev = device();
+    let tid = dev.main_tid();
+    let eagl = dev.eagl();
+    let ctx = eagl.init_with_api(tid, GlesVersion::V2).unwrap();
+    // `ctx` is never made current on `tid`, so no renderbuffer name can
+    // be generated for the drawable.
+    let err = eagl
+        .renderbuffer_storage_from_drawable(tid, ctx, 32, 32)
+        .unwrap_err();
+    assert!(matches!(err, cycada::CycadaError::Eagl(_)), "{err}");
+    assert_eq!(dev.iosurface_bridge().live_surfaces(), 0);
+    assert_eq!(dev.coresurface().live_surfaces(), 0);
+    assert!(eagl.drawable_image(ctx).is_err());
+}
+
+#[test]
 fn gcd_jobs_adopt_the_submitters_context() {
     let dev = device();
     let main = dev.main_tid();

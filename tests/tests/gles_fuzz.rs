@@ -1,10 +1,10 @@
 //! Differential GLES conformance fuzzing: seeded random call scripts
 //! executed through the full diplomat path and through the reference
-//! rasterizer must produce byte-identical framebuffers, equal per-draw
-//! fragment counts, and — across a recording-enabled and a
-//! recording-disabled diplomat run (DESIGN.md §5f) — identical pixels
-//! and metered virtual time. Failures shrink to a minimal replayable
-//! script before the test panics.
+//! rasterizer must produce byte-identical framebuffers and equal
+//! per-draw fragment counts; a fresh diplomat re-run must repeat the
+//! pixels and metered virtual time, and a damage-off re-run must match
+//! them too. Failures shrink to a minimal replayable script before the
+//! test panics.
 //!
 //! Case count: 24 under `cargo test` (debug), 200 in release CI;
 //! `CYCADA_FUZZ_CASES` overrides both (the nightly long run sets it to
