@@ -3,7 +3,7 @@
 //! orchestrator, and writes the committed `BENCH_fleet.json` — total
 //! frame throughput, p50/p95/p99 attach and frame wall latency,
 //! per-device virtual-vs-wall efficiency, and trace-plane counter
-//! rollups (steals, deadline misses, damage/present/ledger fallbacks)
+//! rollups (steals, deadline misses, present/ledger fallbacks)
 //! for each fleet shape.
 //!
 //! Shapes scale from one device up to thousands of devices and sessions;

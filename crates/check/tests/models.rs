@@ -536,14 +536,13 @@ fn flinger_present_queue_latches_disjoint_layers() {
 
 #[test]
 fn flinger_damage_clipped_presents_latch_in_ticket_order() {
-    // Racy multi-presenter model for the tile compositor (DESIGN.md
-    // §5g): two presenters post overlapping, panel-cropped layers while
-    // a third repaints one source between posts, all racing the
-    // ticketed drain and its tile memo. Post-condition: replaying the
-    // same posts serially on a fresh damage-OFF flinger yields
-    // byte-identical scanout — the tile path may skip and cull, but
-    // under every schedule the latched ticket order must produce
-    // exactly what full recomposition of that order produces.
+    // Racy multi-presenter model for the compositor (DESIGN.md §5g):
+    // two presenters post overlapping, panel-cropped layers while one
+    // of them repaints a corner of its source between posts, all racing
+    // the ticketed drain. Post-condition: replaying the same posts
+    // serially on a fresh flinger yields byte-identical scanout — under
+    // every schedule the latched ticket order must produce exactly what
+    // a serial composition of that order produces.
     use cycada_gpu::raster::Rect;
     use cycada_gpu::{GpuDevice, Image, PixelFormat, Rgba};
     use cycada_gralloc::SurfaceFlinger;
@@ -566,7 +565,7 @@ fn flinger_damage_clipped_presents_latch_in_ticket_order() {
         // Posts serialize through the order log, so the log records
         // latch (ticket) order and each post's latch-time source bytes
         // are a pure function of the log prefix — exactly what the
-        // damage-off oracle replays below.
+        // serial oracle replays below.
         let order: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
         let sf2 = sf.clone();
         let order2 = order.clone();
@@ -579,9 +578,8 @@ fn flinger_damage_clipped_presents_latch_in_ticket_order() {
                         sf.composite(&[(&a, A_DST)]);
                         log.push(0);
                     }
-                    // Dirty one corner, post again: the tile memo must
-                    // recompose exactly that damage no matter how B's
-                    // post interleaved.
+                    // Repaint one corner, post again: the new corner must
+                    // land no matter how B's post interleaved.
                     let mut log = order.lock();
                     a.fill_rect(DAB, Rgba::BLUE);
                     sf.composite(&[(&a, A_DST)]);
@@ -598,11 +596,10 @@ fn flinger_damage_clipped_presents_latch_in_ticket_order() {
             })
             .post(move || {
                 assert_eq!(sf2.display().frames_presented(), 3, "a frame was dropped");
-                // Replay the latched order on a fresh flinger with the
-                // damage plane disabled, using fresh source images.
+                // Replay the latched order on a fresh flinger, using
+                // fresh source images.
                 let gpu = Arc::new(GpuDevice::new(VirtualClock::new(), GpuCostModel::tegra3()));
                 let oracle = SurfaceFlinger::new(Display::new(4, 2), gpu);
-                cycada_sim::damage::set_tracking(false);
                 let oa = Image::new(4, 2, PixelFormat::Rgba8888);
                 oa.fill(Rgba::RED);
                 let ob = Image::new(3, 2, PixelFormat::Rgba8888);
@@ -617,13 +614,12 @@ fn flinger_damage_clipped_presents_latch_in_ticket_order() {
                         }
                     }
                 }
-                cycada_sim::damage::set_tracking(true);
                 let got = sf2.display().scanout().read(|s| s.to_vec());
                 let want = oracle.display().scanout().read(|s| s.to_vec());
-                assert_eq!(got, want, "tile path diverged from full recomposition");
+                assert_eq!(got, want, "racy presents diverged from their serial replay");
             })
     });
-    result.expect("damage-clipped presents must latch in ticket order");
+    result.expect("clipped presents must latch in ticket order");
 }
 
 #[test]

@@ -606,8 +606,7 @@ impl AppGl {
     }
 
     /// `glScissor` — sets the scissor box. Combined with enabling
-    /// [`Capability::ScissorTest`], this is the partial-redraw idiom
-    /// whose damage the compositor plane tracks (DESIGN.md §5g).
+    /// [`Capability::ScissorTest`], this is the partial-redraw idiom.
     ///
     /// # Errors
     ///

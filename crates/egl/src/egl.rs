@@ -463,13 +463,9 @@ impl AndroidEgl {
     /// and swaps front/back, rebinding the new back buffer as the current
     /// context's default framebuffer.
     ///
-    /// Damage travels implicitly: the back buffer's journal already
-    /// holds the rectangles GLES draws and blits noted into it, and the
-    /// compositor samples that journal at present time (DESIGN.md §5g).
-    /// Note front/back alternation means successive posts come from
-    /// alternating allocations, so the tile memo keys differ frame to
-    /// frame and double-buffered surfaces recompose their layer; the
-    /// win for them is occlusion culling, not clean-skipping.
+    /// The compositor recomposes the posted buffer in full (DESIGN.md
+    /// §5g): front/back alternation means successive posts come from
+    /// alternating allocations, so no frame is ever a repeat of the last.
     ///
     /// # Errors
     ///

@@ -10,21 +10,13 @@
 //! same-format layer is one `copy_from_slice` per row under a single lock
 //! pair, which is what a full-screen post onto the RGBA scanout hits.
 //!
-//! # The compositor plane (DESIGN.md §5g)
+//! # Composition (DESIGN.md §5g)
 //!
-//! The drainer composes **tiles**: a [`TILE_SIZE`]² grid over the
-//! scanout, with a per-tile memo of which blits last composed it and at
-//! which source journal versions. A tile is *skipped* when the same
-//! blits would compose it again and none of their sources accumulated
-//! damage intersecting it (clean), and lower layers are *culled* when a
-//! later blit fully covers the tile (occluded — every flinger blit is
-//! an opaque overwrite, so coverage alone suffices). Everything falls
-//! back to full recomposition when damage tracking is off
-//! ([`cycada_sim::damage::set_tracking`]), when a blit's
-//! source aliases the scanout, or when the gate epoch moved. Output
-//! bytes and metered virtual time are identical on-vs-off by
-//! construction: all charging happens at enqueue, and the tile path
-//! writes exactly the bytes full recomposition would.
+//! Every present recomposes in full: each queued blit is one
+//! [`raster::blit_clipped`] onto the scanout, clipped to the panel.
+//! There is no tile memo — EGL's front/back alternation means
+//! consecutive posts come from different allocations, so nothing on the
+//! present path is ever provably unchanged since the last frame.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -36,15 +28,10 @@ use cycada_gpu::raster::{self, Rect};
 use cycada_gpu::{DrawClass, GpuDevice, Image};
 use cycada_kernel::Display;
 use cycada_sim::check::{self, Access};
-use cycada_sim::damage::{self, Damage};
 use cycada_sim::slots::SlotTable;
 use cycada_sim::trace;
-use cycada_sim::BufferId;
 
 use crate::buffer::GraphicBuffer;
-
-/// Tile edge length in pixels for damage-tracked composition.
-pub const TILE_SIZE: u32 = 32;
 
 /// Spins this many iterations on a `spin_loop` hint before falling back
 /// to `yield_now` — publication windows are a handful of instructions,
@@ -96,12 +83,10 @@ pub struct SurfaceFlinger {
     present_drained: AtomicU64,
     /// Published-but-not-yet-applied frames, keyed by ticket.
     present_queue: SlotTable<Arc<PresentOp>>,
-    /// Held by the one thread currently applying queued frames, and the
-    /// home of the tile memo (only the drainer touches tile state, so
-    /// the drain lock is exactly its guard). Acquired only with
-    /// `try_lock`: an uncontended presenter drains its own frame
-    /// synchronously, a contended one enqueues and waits.
-    drain_lock: Mutex<TileGrid>,
+    /// Held by the one thread currently applying queued frames.
+    /// Acquired only with `try_lock`: an uncontended presenter drains
+    /// its own frame synchronously, a contended one enqueues and waits.
+    drain_lock: Mutex<()>,
     /// Milliseconds the drainer waits for a claimed ticket's op to be
     /// published before concluding the enqueuer died mid-present (it
     /// panicked or was killed between claiming the ticket and
@@ -134,125 +119,9 @@ struct PresentOp {
     done: AtomicBool,
 }
 
-/// What one tile was last composed from: a blit's identity key plus the
-/// source journal version sampled before its bytes were read.
-struct TileEntry {
-    src: BufferId,
-    src_rect: Rect,
-    dst_rect: Rect,
-    clip: Rect,
-    /// Source journal version the tile's bytes are current against.
-    /// Not part of the identity key (versions advance, keys must not).
-    version: u64,
-}
-
-/// A whole frame's blit identity, without versions. When two
-/// consecutive ops carry the same key list the per-tile memo walk can
-/// be short-circuited: only tiles inside the frame's dirty region need
-/// visiting, everything else is provably clean wholesale.
-#[derive(PartialEq, Eq)]
-struct TileKey {
-    src: BufferId,
-    src_rect: Rect,
-    dst_rect: Rect,
-    clip: Rect,
-}
-
-/// Whether a blit whose source accumulated `damage` since the memo's
-/// stored version provably leaves its contribution to `tile_rect`
-/// unchanged. A scaled blit smears source damage across the whole
-/// destination, so any intersecting damage dirties it conservatively.
-fn tile_clean(blit: &Blit, damage: Damage, tile_rect: Rect) -> bool {
-    match damage {
-        Damage::None => true,
-        Damage::Full => false,
-        Damage::Rect(d) => {
-            let d = Rect::from(d).intersect(&blit.src_rect);
-            if d.is_empty() {
-                return true;
-            }
-            if blit.src_rect.w != blit.dst_rect.w || blit.src_rect.h != blit.dst_rect.h {
-                return false;
-            }
-            let in_dst = Rect {
-                x: d.x - blit.src_rect.x + blit.dst_rect.x,
-                y: d.y - blit.src_rect.y + blit.dst_rect.y,
-                w: d.w,
-                h: d.h,
-            };
-            !in_dst.intersects(&blit.clip.intersect(&tile_rect))
-        }
-    }
-}
-
-/// The per-display tile memo. `None` tiles are unknown (never composed
-/// under the current epoch, or invalidated by an untracked write path)
-/// and always recompose when touched.
-struct TileGrid {
-    epoch: u64,
-    cols: u32,
-    tiles: Vec<Option<Vec<TileEntry>>>,
-    /// The previous op's blit key list. Empty when no grid-level memo
-    /// is valid (fresh grid, epoch reset, or untracked writes).
-    last_keys: Vec<TileKey>,
-    /// Per-blit journal versions the whole grid is current against
-    /// when `last_keys` matches. Advanced every frame the fast path
-    /// runs, whether or not individual tile entries were revisited.
-    last_versions: Vec<u64>,
-    /// How many tiles the memoized key list touches / fully occludes —
-    /// recorded by the full walk so the fast path can bulk-account
-    /// skipped tiles without visiting them.
-    touched_tiles: u64,
-    occluded_tiles: u64,
-}
-
-impl TileGrid {
-    fn new(width: u32, height: u32) -> Self {
-        let cols = width.div_ceil(TILE_SIZE).max(1);
-        let rows = height.div_ceil(TILE_SIZE).max(1);
-        TileGrid {
-            epoch: 0,
-            cols,
-            tiles: (0..cols as usize * rows as usize).map(|_| None).collect(),
-            last_keys: Vec::new(),
-            last_versions: Vec::new(),
-            touched_tiles: 0,
-            occluded_tiles: 0,
-        }
-    }
-
-    fn reset(&mut self, epoch: u64) {
-        self.epoch = epoch;
-        self.last_keys.clear();
-        for t in &mut self.tiles {
-            *t = None;
-        }
-    }
-
-    /// Marks every tile intersecting `rect` unknown.
-    fn invalidate(&mut self, rect: Rect) {
-        self.last_keys.clear();
-        if rect.is_empty() {
-            return;
-        }
-        let tx0 = rect.x / TILE_SIZE;
-        let ty0 = rect.y / TILE_SIZE;
-        let tx1 = (rect.x + rect.w - 1) / TILE_SIZE;
-        let ty1 = (rect.y + rect.h - 1) / TILE_SIZE;
-        for ty in ty0..=ty1 {
-            for tx in tx0..=tx1 {
-                if let Some(t) = self.tiles.get_mut((ty * self.cols + tx) as usize) {
-                    *t = None;
-                }
-            }
-        }
-    }
-}
-
 impl SurfaceFlinger {
     /// Creates a compositor for `display`, using `gpu` for composition.
     pub fn new(display: Display, gpu: Arc<GpuDevice>) -> Self {
-        let grid = TileGrid::new(display.width(), display.height());
         SurfaceFlinger {
             display,
             gpu,
@@ -260,7 +129,7 @@ impl SurfaceFlinger {
             present_tickets: AtomicU64::new(0),
             present_drained: AtomicU64::new(0),
             present_queue: SlotTable::new(),
-            drain_lock: Mutex::new(grid),
+            drain_lock: Mutex::new(()),
             publish_deadline_ms: AtomicU64::new(PUBLISH_DEADLINE_MS_DEFAULT),
         }
     }
@@ -374,8 +243,7 @@ impl SurfaceFlinger {
     /// frame counter — is charged here on the issuing thread **before**
     /// the frame is queued, so each session's virtual-time ledger is
     /// exactly what the old synchronous compositor produced no matter
-    /// which thread ends up doing the byte work (and no matter whether
-    /// the drainer skips tiles: skipping saves host wall time only).
+    /// which thread ends up doing the byte work.
     /// The queue is a ticket sequence over a [`SlotTable`]; whoever wins
     /// `drain_lock` applies pending frames in ticket order while
     /// contended presenters spin-then-yield on their own frame's `done`
@@ -438,7 +306,7 @@ impl SurfaceFlinger {
     /// this call.
     fn drain(&self) {
         loop {
-            let Some(mut grid) = self.drain_lock.try_lock() else {
+            let Some(guard) = self.drain_lock.try_lock() else {
                 return;
             };
             loop {
@@ -473,7 +341,7 @@ impl SurfaceFlinger {
                 };
                 match op {
                     Some(op) => {
-                        self.apply(&mut grid, &op);
+                        self.apply(&op);
                         op.done.store(true, Ordering::Release);
                         self.present_queue.set(next, None);
                     }
@@ -486,7 +354,7 @@ impl SurfaceFlinger {
                 }
                 self.present_drained.store(next + 1, Ordering::Release);
             }
-            drop(grid);
+            drop(guard);
             // A ticket published after our last emptiness check but before
             // the lock release would be stranded if its enqueuer lost the
             // try_lock race to us; recheck and re-volunteer.
@@ -498,278 +366,12 @@ impl SurfaceFlinger {
         }
     }
 
-    /// Applies one frame onto the scanout: tile-wise with clean and
-    /// occlusion skips when damage tracking is on, full recomposition
-    /// otherwise. Both paths write exactly the same bytes.
-    fn apply(&self, grid: &mut TileGrid, op: &PresentOp) {
+    /// Applies one frame onto the scanout: every blit in order, each
+    /// clipped to the panel (empty and off-panel blits write nothing).
+    fn apply(&self, op: &PresentOp) {
         let scanout = self.scanout_image();
-        // Blits with an empty source or a fully off-panel destination
-        // write nothing in either mode; drop them so they can neither
-        // occlude nor key tile memos.
-        let blits: Vec<&Blit> = op
-            .blits
-            .iter()
-            .filter(|b| !b.src_rect.is_empty() && !b.clip.is_empty())
-            .collect();
-        if blits.is_empty() {
-            return;
-        }
-
-        let epoch = damage::epoch();
-        let aliasing = blits
-            .iter()
-            .any(|b| b.src.buffer().same_allocation(scanout.buffer()));
-        if grid.epoch != epoch {
-            // Gate toggled since the memo was built: nothing in it is
-            // trustworthy under the new regime.
-            grid.reset(epoch);
-        }
-        if !damage::tracking() || aliasing {
-            // Full recomposition. Touched tiles become unknown: their
-            // bytes are fine, but no versioned memo describes them.
-            for b in &blits {
-                raster::blit_clipped(&b.src, b.src_rect, &scanout, b.dst_rect, b.clip);
-            }
-            for b in &blits {
-                grid.invalidate(b.clip);
-            }
-            return;
-        }
-
-        // Sample every source's journal version before any byte is
-        // read: a version sampled early can only under-state the bytes
-        // later read, so the memo's later damage queries over-
-        // approximate (DESIGN.md §5g).
-        let versions: Vec<u64> = blits.iter().map(|b| b.src.buffer().damage().version()).collect();
-        let ids: Vec<BufferId> = blits.iter().map(|b| b.src.buffer().id()).collect();
-        // Damage queries memoized per (blit, since): on a typical
-        // mostly-clean frame every tile asks the same question, so one
-        // journal lock per blit answers the whole grid.
-        let mut dmg_cache: Vec<Vec<(u64, Damage)>> = vec![Vec::new(); blits.len()];
-        let mut damage_for = |i: usize, since: u64| -> Damage {
-            let cache = &mut dmg_cache[i];
-            if let Some((_, d)) = cache.iter().find(|(s, _)| *s == since) {
-                return *d;
-            }
-            let d = blits[i].src.buffer().damage().damage_since(since);
-            if matches!(d, Damage::Full) {
-                trace::bump(trace::Counter::DamageFullFallbacks);
-            }
-            cache.push((since, d));
-            d
-        };
-
-        // Grid-level fast path: when the key list repeats the previous
-        // op exactly, the only tiles whose bytes can have changed are
-        // those under some visible blit's dirty destination region.
-        // Everything else is clean wholesale — skipped without even a
-        // per-tile memo lookup, with the skip counters bulk-bumped
-        // from the recorded touched/occluded tile counts.
-        // Audit note (present/drain hardening): `last_versions[i]` below
-        // and the `copy_from_slice` at the end of the hit branch would
-        // both panic if `last_keys` and `last_versions` ever diverged in
-        // length. They are only written together, but `reset`/`invalidate`
-        // clear `last_keys` alone — the length equality is a cross-method
-        // invariant, so the fast path checks it explicitly instead of
-        // trusting it: a mismatch is merely a memo miss (full walk), never
-        // a panic that takes the drainer down with every waiting session.
-        let memo_hit = grid.last_keys.len() == blits.len()
-            && grid.last_versions.len() == blits.len()
-            && grid.last_keys.iter().zip(blits.iter().enumerate()).all(|(k, (i, b))| {
-                k.src == ids[i]
-                    && k.src_rect == b.src_rect
-                    && k.dst_rect == b.dst_rect
-                    && k.clip == b.clip
-            });
-        let dirty: Option<Vec<Rect>> = if memo_hit {
-            let mut dirty = Vec::with_capacity(blits.len());
-            for (i, b) in blits.iter().enumerate() {
-                // A blit whose clip sits wholly inside a later blit's
-                // clip is overwritten everywhere it lands (every
-                // flinger blit is opaque), so its damage can never
-                // reach the scanout.
-                if blits[i + 1..].iter().any(|above| above.clip.contains(&b.clip)) {
-                    continue;
-                }
-                let d = match damage_for(i, grid.last_versions[i]) {
-                    Damage::None => Rect::EMPTY,
-                    Damage::Full => b.clip,
-                    Damage::Rect(d) => {
-                        let d = Rect::from(d).intersect(&b.src_rect);
-                        if d.is_empty() {
-                            Rect::EMPTY
-                        } else if b.src_rect.w != b.dst_rect.w || b.src_rect.h != b.dst_rect.h {
-                            // Scaled: source damage smears across the
-                            // whole destination.
-                            b.clip
-                        } else {
-                            Rect {
-                                x: d.x - b.src_rect.x + b.dst_rect.x,
-                                y: d.y - b.src_rect.y + b.dst_rect.y,
-                                w: d.w,
-                                h: d.h,
-                            }
-                            .intersect(&b.clip)
-                        }
-                    }
-                };
-                if !d.is_empty() {
-                    dirty.push(d);
-                }
-            }
-            Some(dirty)
-        } else {
-            None
-        };
-
-        let bounds = match &dirty {
-            // Visit only the frame's dirty region; a fully clean frame
-            // walks zero tiles.
-            Some(dirty) => dirty.iter().fold(Rect::EMPTY, |acc, d| acc.union(d)),
-            None => blits.iter().fold(Rect::EMPTY, |acc, b| acc.union(&b.clip)),
-        };
-        let panel = self.panel();
-        let mut touching: Vec<usize> = Vec::with_capacity(blits.len());
-        let mut visited_touched = 0u64;
-        let mut visited_occluded = 0u64;
-        let tx0 = bounds.x / TILE_SIZE;
-        let ty0 = bounds.y / TILE_SIZE;
-        let tx1 = (bounds.x + bounds.w.max(1) - 1) / TILE_SIZE;
-        let ty1 = (bounds.y + bounds.h.max(1) - 1) / TILE_SIZE;
-        let (ty_range, tx_range) =
-            if bounds.is_empty() { (0..0, 0..0) } else { (ty0..ty1 + 1, tx0..tx1 + 1) };
-        for ty in ty_range {
-            for tx in tx_range.clone() {
-                let tile_rect = Rect {
-                    x: tx * TILE_SIZE,
-                    y: ty * TILE_SIZE,
-                    w: TILE_SIZE,
-                    h: TILE_SIZE,
-                }
-                .intersect(&panel);
-                if let Some(dirty) = &dirty {
-                    if !dirty.iter().any(|d| d.intersects(&tile_rect)) {
-                        // Inside the dirty bounding box but not under
-                        // any dirty rect: clean wholesale, accounted
-                        // for by the bulk bump below.
-                        continue;
-                    }
-                }
-                touching.clear();
-                touching.extend((0..blits.len()).filter(|&i| blits[i].clip.intersects(&tile_rect)));
-                if touching.is_empty() {
-                    // Untouched tiles keep their memo: their bytes are
-                    // unchanged by this op in either mode.
-                    continue;
-                }
-                visited_touched += 1;
-                // Occlusion: the last blit whose clip covers the whole
-                // tile makes everything below it invisible here. Every
-                // flinger blit is an opaque overwrite, so coverage is
-                // the only condition.
-                let start = touching
-                    .iter()
-                    .rposition(|&i| blits[i].clip.contains(&tile_rect))
-                    .unwrap_or(0);
-                let occluded = start > 0;
-                if occluded {
-                    visited_occluded += 1;
-                    trace::bump(trace::Counter::TilesSkippedOccluded);
-                }
-                let effective = &touching[start..];
-
-                // Defensive indexing: tile coordinates are derived from
-                // panel-clipped rects so `idx` is in range whenever grid
-                // and display agree on dimensions; if they ever disagree,
-                // an out-of-range tile simply has no memo (recompose) —
-                // the old `grid.tiles[idx]` panicked instead.
-                let idx = (ty * grid.cols + tx) as usize;
-                if let Some(stored) = grid.tiles.get_mut(idx).and_then(Option::as_mut) {
-                    let keys_match = stored.len() == effective.len()
-                        && stored.iter().zip(effective).all(|(s, &i)| {
-                            s.src == ids[i]
-                                && s.src_rect == blits[i].src_rect
-                                && s.dst_rect == blits[i].dst_rect
-                                && s.clip == blits[i].clip
-                        });
-                    if keys_match
-                        && stored.iter().zip(effective).all(|(s, &i)| {
-                            tile_clean(blits[i], damage_for(i, s.version), tile_rect)
-                        })
-                    {
-                        trace::bump(trace::Counter::TilesSkippedClean);
-                        // Advance stored versions in place: the bytes
-                        // are provably those the fresh versions would
-                        // compose, and skipping the Vec rebuild keeps
-                        // the clean path allocation-free.
-                        for (s, &i) in stored.iter_mut().zip(effective) {
-                            s.version = versions[i];
-                        }
-                        continue;
-                    }
-                }
-
-                for &i in effective {
-                    let b = blits[i];
-                    raster::blit_clipped(
-                        &b.src,
-                        b.src_rect,
-                        &scanout,
-                        b.dst_rect,
-                        b.clip.intersect(&tile_rect),
-                    );
-                }
-                if let Some(slot) = grid.tiles.get_mut(idx) {
-                    *slot = Some(
-                        effective
-                            .iter()
-                            .map(|&i| TileEntry {
-                                src: ids[i],
-                                src_rect: blits[i].src_rect,
-                                dst_rect: blits[i].dst_rect,
-                                clip: blits[i].clip,
-                                version: versions[i],
-                            })
-                            .collect(),
-                    );
-                }
-            }
-        }
-
-        if memo_hit {
-            // Every touched tile outside the dirty walk skipped clean;
-            // occlusion is a function of the (unchanged) key list, so
-            // the unvisited occluded tiles are exactly the recorded
-            // count minus the ones the walk re-observed.
-            trace::add(
-                trace::Counter::TilesSkippedClean,
-                grid.touched_tiles.saturating_sub(visited_touched),
-            );
-            trace::add(
-                trace::Counter::TilesSkippedOccluded,
-                grid.occluded_tiles.saturating_sub(visited_occluded),
-            );
-            // Sound to advance wholesale: visited tiles were composed
-            // (or verified clean) against `versions`, and unvisited
-            // tiles saw no visible damage between `last_versions` and
-            // `versions`. Per-tile stored versions may lag; they are
-            // only consulted on a key change, where lagging is merely
-            // conservative.
-            grid.last_versions.copy_from_slice(&versions);
-        } else {
-            grid.last_keys = blits
-                .iter()
-                .enumerate()
-                .map(|(i, b)| TileKey {
-                    src: ids[i],
-                    src_rect: b.src_rect,
-                    dst_rect: b.dst_rect,
-                    clip: b.clip,
-                })
-                .collect();
-            grid.last_versions = versions;
-            grid.touched_tiles = visited_touched;
-            grid.occluded_tiles = visited_occluded;
+        for b in &op.blits {
+            raster::blit_clipped(&b.src, b.src_rect, &scanout, b.dst_rect, b.clip);
         }
     }
 }
@@ -953,41 +555,28 @@ mod tests {
     }
 
     #[test]
-    fn repeat_posts_skip_clean_tiles() {
+    fn repeat_posts_keep_the_frame() {
         let gpu = Arc::new(GpuDevice::new(VirtualClock::new(), GpuCostModel::tegra3()));
         let sf = SurfaceFlinger::new(Display::new(64, 64), gpu);
         let bg = Image::new(64, 64, PixelFormat::Rgba8888);
         bg.fill(Rgba::WHITE);
-        let before = trace::counter(trace::Counter::TilesSkippedClean);
         sf.post_image(&bg);
         sf.post_image(&bg);
-        // Second identical post: all four 32x32 tiles provably clean
-        // (>= 4 guards against unrelated tests bumping the global
-        // counter concurrently).
-        assert!(
-            trace::counter(trace::Counter::TilesSkippedClean) >= before + 4,
-            "repeat post should skip clean tiles"
-        );
         assert_eq!(sf.display().pixel(1, 1), [255, 255, 255, 255]);
     }
 
     #[test]
-    fn covering_layer_occludes_lower_tiles() {
+    fn covering_layer_hides_lower_layer() {
         let gpu = Arc::new(GpuDevice::new(VirtualClock::new(), GpuCostModel::tegra3()));
         let sf = SurfaceFlinger::new(Display::new(64, 64), gpu);
         let below = Image::new(64, 64, PixelFormat::Rgba8888);
         below.fill(Rgba::RED);
         let above = Image::new(64, 64, PixelFormat::Rgba8888);
         above.fill(Rgba::GREEN);
-        let before = trace::counter(trace::Counter::TilesSkippedOccluded);
         sf.composite(&[
             (&below, Rect { x: 0, y: 0, w: 64, h: 64 }),
             (&above, Rect { x: 0, y: 0, w: 64, h: 64 }),
         ]);
-        assert!(
-            trace::counter(trace::Counter::TilesSkippedOccluded) >= before + 4,
-            "fully covered tiles should cull the lower layer"
-        );
         assert_eq!(sf.display().pixel(32, 32), [0, 255, 0, 255], "top layer wins");
     }
 }

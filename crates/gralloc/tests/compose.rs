@@ -1,39 +1,39 @@
-//! Differential tests for the damage-tracked tile compositor
-//! (DESIGN.md §5g): tile-wise composition with clean/occlusion skips
-//! must be byte-identical to full recomposition and charge identical
-//! virtual time, under arbitrary layer stacks and damage sequences.
+//! Differential test for the compositor (DESIGN.md §5g): the flinger's
+//! span-raster composition must write the bytes, and charge the virtual
+//! time, that the per-pixel reference raster produces for the same
+//! layer stacks, repaints and destination rects.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use cycada_gpu::raster::Rect;
-use cycada_gpu::{GpuDevice, Image, PixelFormat, Rgba};
+use cycada_gpu::{DrawClass, GpuDevice, Image, PixelFormat, Rgba};
 use cycada_gralloc::SurfaceFlinger;
 use cycada_kernel::Display;
-use cycada_sim::{trace, GpuCostModel, VirtualClock};
+use cycada_sim::{GpuCostModel, VirtualClock};
 
 const PANEL: u32 = 96;
 
-/// The kill switch and the trace counters are process-wide; tests that
-/// toggle or assert on them must not interleave.
-static TEST_LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
+/// Side of the reference canvas: large enough that every destination
+/// rect [`arb_layer`] draws lies wholly inside it, so the reference
+/// blit needs no clipping and the panel is its top-left crop.
+const CANVAS: u32 = PANEL + 16 + 64;
 
-fn flinger() -> SurfaceFlinger {
-    let gpu = Arc::new(GpuDevice::new(VirtualClock::new(), GpuCostModel::tegra3()));
-    SurfaceFlinger::new(Display::new(PANEL, PANEL), gpu)
+fn gpu() -> Arc<GpuDevice> {
+    Arc::new(GpuDevice::new(VirtualClock::new(), GpuCostModel::tegra3()))
 }
 
-/// One scripted layer: geometry plus the damage sequence its backing
-/// image receives between frames.
+/// One scripted layer: geometry plus the repaints its backing image
+/// receives between frames.
 #[derive(Debug, Clone)]
 struct LayerScript {
     w: u32,
     h: u32,
     dst: Rect,
     seed: u8,
-    /// Per-frame damage: None = untouched, Some(rect) = repaint rect
-    /// (empty rect = full-image repaint through the untracked path).
+    /// Per-frame repaint: None = untouched, Some(rect) = fill that rect
+    /// (empty rect = per-pixel repaint of the whole image).
     touches: Vec<Option<Rect>>,
 }
 
@@ -76,132 +76,62 @@ fn paint(image: &Image, seed: u8, frame: usize) {
     }
 }
 
-/// Plays a layer script against one flinger and returns the final
-/// scanout bytes plus virtual nanoseconds charged.
-fn run_script(
-    sf: &SurfaceFlinger,
-    layers: &[LayerScript],
-    frames: usize,
-    damage_tracking: bool,
-) -> (Vec<u8>, u64) {
-    cycada_sim::damage::set_tracking(damage_tracking);
-    let images: Vec<Image> = layers
-        .iter()
-        .map(|l| {
-            let img = Image::new(l.w, l.h, PixelFormat::Rgba8888);
-            paint(&img, l.seed, 0);
-            img
-        })
-        .collect();
-    let start = sf.gpu().clock().now_ns();
-    for frame in 0..frames {
-        for (layer, image) in layers.iter().zip(&images) {
-            if let Some(touch) = layer.touches[frame] {
-                if touch.is_empty() {
-                    paint(image, layer.seed, frame + 1);
-                } else {
-                    image.fill_rect(touch, Rgba::from_bytes([frame as u8, 0x40, 0x80, 255]));
-                }
-            }
-        }
-        let stack: Vec<(&Image, Rect)> =
-            layers.iter().zip(&images).map(|(l, i)| (i, l.dst)).collect();
-        sf.composite(&stack);
-    }
-    let charged = sf.gpu().clock().now_ns() - start;
-    cycada_sim::damage::set_tracking(true);
-    (sf.display().scanout().read(|b| b.to_vec()), charged)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24 })]
 
-    /// The tentpole pin: for a random layer stack and random damage
-    /// sequence, tile-wise composition (damage tracking on) and full
-    /// recomposition (tracking off) produce byte-identical scanouts on
-    /// the reference-raster device and charge identical virtual time.
+    /// For a random layer stack with random per-frame repaints, some
+    /// layers scaled and some hanging off the panel, the flinger on a
+    /// span device matches a reference-raster device blitting the same
+    /// stack onto an oversized canvas: identical panel bytes and
+    /// identical virtual time.
     #[test]
-    fn tilewise_matches_full_recomposition(
+    fn composite_matches_reference_raster(
         layers in proptest::collection::vec(arb_layer(4), 1..5),
-        reference: bool,
     ) {
-        let _serial = TEST_LOCK.lock();
-        let on = flinger();
-        let off = flinger();
-        on.gpu().set_reference_raster(reference);
-        off.gpu().set_reference_raster(reference);
-        let (bytes_on, ns_on) = run_script(&on, &layers, 4, true);
-        let (bytes_off, ns_off) = run_script(&off, &layers, 4, false);
-        prop_assert_eq!(bytes_on, bytes_off, "scanout bytes diverged");
-        prop_assert_eq!(ns_on, ns_off, "virtual time diverged");
-    }
-}
+        let sf = SurfaceFlinger::new(Display::new(PANEL, PANEL), gpu());
+        let ref_gpu = gpu();
+        ref_gpu.set_reference_raster(true);
+        let canvas = Image::new(CANVAS, CANVAS, PixelFormat::Rgba8888);
+        let images: Vec<Image> = layers
+            .iter()
+            .map(|l| {
+                let img = Image::new(l.w, l.h, PixelFormat::Rgba8888);
+                paint(&img, l.seed, 0);
+                img
+            })
+            .collect();
+        for frame in 0..4 {
+            for (layer, image) in layers.iter().zip(&images) {
+                if let Some(touch) = layer.touches[frame] {
+                    if touch.is_empty() {
+                        paint(image, layer.seed, frame + 1);
+                    } else {
+                        image.fill_rect(touch, Rgba::from_bytes([frame as u8, 0x40, 0x80, 255]));
+                    }
+                }
+            }
+            let stack: Vec<(&Image, Rect)> =
+                layers.iter().zip(&images).map(|(l, i)| (i, l.dst)).collect();
+            sf.composite(&stack);
+            for (image, dst) in &stack {
+                ref_gpu.blit(image, Rect::of_image(image), &canvas, *dst, DrawClass::TwoD);
+            }
+            ref_gpu.charge_present();
+        }
 
-#[test]
-fn mid_run_kill_switch_stays_byte_identical() {
-    // Toggling the kill switch between frames must bump the epoch and
-    // invalidate the tile memo, never leave stale pixels behind.
-    let _serial = TEST_LOCK.lock();
-    let sf = flinger();
-    let bg = Image::new(PANEL, PANEL, PixelFormat::Rgba8888);
-    bg.fill(Rgba::WHITE);
-    let badge = Image::new(8, 8, PixelFormat::Rgba8888);
-    badge.fill(Rgba::RED);
-    let stack: [(&Image, Rect); 2] =
-        [(&bg, Rect { x: 0, y: 0, w: PANEL, h: PANEL }), (&badge, Rect { x: 4, y: 4, w: 8, h: 8 })];
-    sf.composite(&stack);
-    cycada_sim::damage::set_tracking(false);
-    badge.fill(Rgba::GREEN);
-    sf.composite(&stack);
-    cycada_sim::damage::set_tracking(true);
-    // With tracking re-enabled the memo's old epoch must not let the
-    // badge tile skip: its bytes changed while the journal was frozen.
-    badge.fill(Rgba::BLUE);
-    sf.composite(&stack);
-    assert_eq!(sf.display().pixel(6, 6), [0, 0, 255, 255]);
-    assert_eq!(sf.display().pixel(50, 50), [255, 255, 255, 255]);
-}
-
-#[test]
-fn bench_scene_counters_smoke() {
-    // The badge-update scene must exercise all three observability
-    // counters' happy paths: clean skips dominate, occlusion fires for
-    // the covered tiles, and the scene itself causes no Full fallbacks
-    // after warm-up (precise rect damage only).
-    let _serial = TEST_LOCK.lock();
-    let sf = flinger();
-    let bg = Image::new(PANEL, PANEL, PixelFormat::Rgba8888);
-    bg.fill(Rgba::WHITE);
-    let badge = Image::new(16, 16, PixelFormat::Rgba8888);
-    badge.fill(Rgba::RED);
-    let stack: [(&Image, Rect); 2] = [
-        (&bg, Rect { x: 0, y: 0, w: PANEL, h: PANEL }),
-        (&badge, Rect { x: 0, y: 0, w: 16, h: 16 }),
-    ];
-    sf.composite(&stack); // warm-up: populate the tile memo
-    let clean = trace::counter(trace::Counter::TilesSkippedClean);
-    let occluded = trace::counter(trace::Counter::TilesSkippedOccluded);
-    for frame in 0..8 {
-        badge.fill_rect(
-            Rect { x: 2, y: 2, w: 4, h: 4 },
-            Rgba::from_bytes([frame as u8, 0, 0, 255]),
+        let row = PANEL as usize * 4;
+        let expected: Vec<u8> = canvas.buffer().read(|b| {
+            b.chunks(canvas.row_bytes())
+                .take(PANEL as usize)
+                .flat_map(|r| &r[..row])
+                .copied()
+                .collect()
+        });
+        prop_assert_eq!(sf.display().scanout().to_vec(), expected, "scanout bytes diverged");
+        prop_assert_eq!(
+            sf.gpu().clock().now_ns(),
+            ref_gpu.clock().now_ns(),
+            "virtual time diverged"
         );
-        sf.composite(&stack);
     }
-    let tiles = (PANEL / 32) * (PANEL / 32);
-    // Each of the 8 frames dirties only the badge tile: the other
-    // tiles all skip clean.
-    assert!(
-        trace::counter(trace::Counter::TilesSkippedClean) >= clean + 8 * (tiles as u64 - 1),
-        "clean skips missing"
-    );
-    // The badge fully covers its tile corner? No — 16x16 badge does not
-    // cover a 32x32 tile, so occlusion must NOT fire for this stack.
-    assert_eq!(
-        trace::counter(trace::Counter::TilesSkippedOccluded),
-        occluded,
-        "no tile is fully covered by the badge"
-    );
-    assert_eq!(sf.display().pixel(3, 3), [7, 0, 0, 255]);
-    assert_eq!(sf.display().pixel(60, 60), [255, 255, 255, 255]);
 }

@@ -36,7 +36,6 @@
 mod buffer;
 pub mod check;
 mod clock;
-pub mod damage;
 pub mod env_flag;
 pub mod intern;
 mod profile;

@@ -133,22 +133,21 @@ pub enum Counter {
     /// SurfaceFlinger contention: a present found another thread draining
     /// the present queue and had to wait for its own frame to latch.
     FlingerLockWaits,
-    /// Compositor tiles skipped because no queued blit's damage
-    /// intersected them — their scanout bytes were provably already
-    /// correct (DESIGN.md §5g).
+    /// Retired: nothing bumps it since the compositor's tile memo was
+    /// deleted (DESIGN.md §5g). Kept, always zero, because the
+    /// benchmark still reads it by name.
     TilesSkippedClean,
-    /// Compositor tiles where occlusion culling dropped at least one
-    /// lower layer because a later blit fully covered the tile.
+    /// Retired: nothing bumps it since the compositor's tile memo was
+    /// deleted (DESIGN.md §5g). Kept, always zero, because the
+    /// benchmark still reads it by name.
     TilesSkippedOccluded,
-    /// Damage queries on the present path that fell back to full
-    /// damage (journal history exhausted, unprovable write set, or a
-    /// scaled blit whose source damage cannot be mapped precisely).
+    /// Retired: nothing bumps it since the damage journal was deleted
+    /// (DESIGN.md §5g). Kept, always zero, because the benchmark still
+    /// reads it by name.
     DamageFullFallbacks,
-    /// Journal overflow merges that found a degenerate history shape
-    /// (fewer than two entries at the overflow threshold) and fell back
-    /// to conservative full damage instead of panicking. Always on:
-    /// every bump is a journal whose bounded-history invariant was
-    /// violated, answered soundly.
+    /// Retired: nothing bumps it since the damage journal was deleted
+    /// (DESIGN.md §5g). Kept, always zero, because the benchmark still
+    /// reads it by name.
     DamageMergeFallbacks,
     /// Charge-ledger deltas observed to run backwards: a `ThreadSpan`
     /// or `MeterGuard` was read or dropped on a different host thread

@@ -30,7 +30,7 @@ pub enum Scenario {
     /// transforms, scissored sub-draws.
     MultiGles,
     /// Partial-update scene: a small scissored badge redraw per frame on
-    /// an otherwise static screen (the damage-tracking sweet spot).
+    /// an otherwise static screen.
     PartialUpdate,
     /// Texture-streaming / asset-upload churn: every frame uploads a new
     /// texture, mutates the oldest surviving one, draws the newest
@@ -258,8 +258,8 @@ pub fn frame(app: &mut AppGl, state: &mut ScenarioState, seed: u64, f: u32) -> R
         }
         ScenarioState::PartialUpdate { tex } => {
             // Static background established by the warm-up; each frame
-            // only a small scissored badge region redraws, which is what
-            // keeps the compositor's clean-tile skips busy fleet-wide.
+            // only a small scissored badge region redraws (a scissored
+            // clear plus one small quad on an otherwise unchanged frame).
             let bx = ((seed.wrapping_add(u64::from(f) * 3)) % 4) as i32 * (app.width() as i32 / 8);
             app.set_scissor(bx, 0, app.width() / 8, app.height() / 8)?;
             let b = ((seed.wrapping_mul(53).wrapping_add(u64::from(f) * 19)) % 255) as f32 / 255.0;

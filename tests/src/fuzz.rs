@@ -21,12 +21,6 @@
 //! scanout repeat exactly — the determinism contract the figure
 //! regenerators rely on.
 //!
-//! A third diplomat run then disables the compositor damage plane
-//! (DESIGN.md §5g) and asserts pixels, scanout bytes, and virtual time
-//! still repeat exactly — tile-wise composition with clean/occlusion
-//! skips must be indistinguishable from full recomposition, including
-//! under the scissored partial-redraw ops the generator emits.
-//!
 //! Failures shrink with a ddmin-style [`shrink`] pass to a minimal
 //! script that still fails, printed in replayable form.
 
@@ -42,8 +36,7 @@ use cycada_gpu::{GpuDevice, Image, PixelFormat};
 use cycada_sim::{GpuCostModel, Nanos, SimRng, VirtualClock};
 
 /// Framebuffer size used by every fuzz case (small keeps 200 cases
-/// fast; large enough that the compositor's 32×32 tile boundaries land
-/// inside the target).
+/// fast).
 pub const WIDTH: u32 = 64;
 /// See [`WIDTH`].
 pub const HEIGHT: u32 = 48;
@@ -130,9 +123,7 @@ pub enum GlOp {
         on: bool,
     },
     /// `glScissor` — with `Capability::ScissorTest` toggles in the
-    /// stream this produces partial-redraw frames, the workload the
-    /// damage-tracked compositor plane must handle bit-exactly
-    /// (DESIGN.md §5g).
+    /// stream this produces partial-redraw frames.
     Scissor {
         /// Box origin x.
         x: i32,
@@ -387,28 +378,8 @@ fn quad_arrays(rect: [f32; 4]) -> ([f32; 18], [f32; 12]) {
 ///
 /// Returns a description of the first failing call.
 pub fn run_diplomat(script: &Script) -> Result<RunResult, String> {
-    run_diplomat_planes(script, true)
-}
-
-/// [`run_diplomat`] with the compositor damage plane forced on or off
-/// (DESIGN.md §5g). The kill switch is process-wide, so it is restored
-/// to its default (on) before returning.
-///
-/// # Errors
-///
-/// Returns a description of the first failing call.
-pub fn run_diplomat_planes(script: &Script, damage_tracking: bool) -> Result<RunResult, String> {
-    let result = run_diplomat_inner(script, damage_tracking);
-    if !damage_tracking {
-        cycada_sim::damage::set_tracking(true);
-    }
-    result
-}
-
-fn run_diplomat_inner(script: &Script, damage_tracking: bool) -> Result<RunResult, String> {
     let device = CycadaDevice::boot_with_display(Some((WIDTH, HEIGHT)))
         .map_err(|e| format!("boot: {e}"))?;
-    cycada_sim::damage::set_tracking(damage_tracking);
     let mut apps = Vec::with_capacity(script.versions.len());
     for (i, v) in script.versions.iter().enumerate() {
         apps.push(
@@ -802,29 +773,6 @@ pub fn check_script(script: &Script) -> Result<(), String> {
     }
     if again.scanout != diplomat.scanout {
         return Err("diplomat re-run produced a different scanout".into());
-    }
-    // Third diplomat run with the compositor damage plane disabled
-    // (DESIGN.md §5g): tile-wise composition with clean/occlusion skips
-    // must be indistinguishable — pixels, scanout bytes, and metered
-    // virtual time — from full recomposition.
-    let undamaged = run_diplomat_planes(script, false)
-        .map_err(|e| format!("diplomat re-run (damage off) failed: {e}"))?;
-    if undamaged.frames != diplomat.frames {
-        return Err(
-            "diplomat re-run with damage tracking disabled produced different pixels".into(),
-        );
-    }
-    if undamaged.scanout != diplomat.scanout {
-        return Err(
-            "diplomat re-run with damage tracking disabled produced a different scanout".into(),
-        );
-    }
-    if undamaged.session_ns != diplomat.session_ns {
-        return Err(format!(
-            "diplomat re-run with damage tracking disabled metered different virtual time: \
-             damage-on {:?} vs damage-off {:?}",
-            diplomat.session_ns, undamaged.session_ns
-        ));
     }
     Ok(())
 }

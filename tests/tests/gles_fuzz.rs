@@ -2,9 +2,8 @@
 //! executed through the full diplomat path and through the reference
 //! rasterizer must produce byte-identical framebuffers and equal
 //! per-draw fragment counts; a fresh diplomat re-run must repeat the
-//! pixels and metered virtual time, and a damage-off re-run must match
-//! them too. Failures shrink to a minimal replayable script before the
-//! test panics.
+//! pixels, scanout and metered virtual time. Failures shrink to a
+//! minimal replayable script before the test panics.
 //!
 //! Case count: 24 under `cargo test` (debug), 200 in release CI;
 //! `CYCADA_FUZZ_CASES` overrides both (the nightly long run sets it to
@@ -82,9 +81,8 @@ fn minimal_committed_script_replays_clean() {
         (0, GlOp::TexQuadIndexed { slot: 0, rect: [0.0, 0.0, 0.9, 0.9] }),
         (0, GlOp::Present),
         (1, GlOp::Present),
-        // Partial redraw: scissored clear then a second present — the
-        // damage-tracked compositor must recompose exactly this frame's
-        // dirty region (checked against the damage-off re-run).
+        // Partial redraw: scissored clear then a second present; the
+        // scanout must match the fresh re-run byte for byte.
         (0, GlOp::SetCapability { cap: Capability::ScissorTest, on: true }),
         (0, GlOp::Scissor { x: 8, y: 8, w: 16, h: 12 }),
         (0, GlOp::Clear { rgba: [0.0, 1.0, 0.2, 1.0] }),
