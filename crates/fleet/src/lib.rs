@@ -10,11 +10,12 @@
 //! recording attach and per-frame wall latency, the session's
 //! deterministic framebuffer hash, and its metered virtual-time total.
 //!
-//! Tasks are distributed by a work-stealing orchestrator (scoped threads
-//! plus an injector/stealer deque — no async runtime): every task starts
-//! in a global injector, workers refill their own deques in batches and
-//! steal from a victim's back when idle. A task runs *entirely on one
-//! worker thread*, so the session plane's per-host-thread charge ledger
+//! Tasks are handed out by one shared cursor over scoped threads (no
+//! async runtime): each worker claims the next session index with a
+//! `fetch_add` and exits once the index passes the last session. A
+//! fleet run is a closed batch and tasks never spawn tasks, so the
+//! cursor is the whole scheduler. A task runs *entirely on one worker
+//! thread*, so the session plane's per-host-thread charge ledger
 //! never crosses threads mid-scope (the `meter-ledger-inversions`
 //! counter stands guard over exactly that invariant).
 //!
@@ -30,6 +31,7 @@
 //! runs — those are the measurements, not the simulation.
 
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -38,15 +40,12 @@ use cycada_replay::{replay_on_device, ReplayOptions};
 use cycada_sim::replay::Stream;
 use cycada_sim::{trace, Nanos, SimRng};
 
-mod deque;
 pub mod metrics;
 
 pub use cycada_workloads::scenario::{
     frame as scenario_frame, setup as scenario_setup, Scenario, ScenarioState,
 };
 pub use metrics::{determinism_digest, fleet_json, percentiles, report_json, Percentiles};
-
-use deque::WorkQueues;
 
 /// Shape and knobs of one fleet run.
 #[derive(Debug, Clone)]
@@ -221,8 +220,6 @@ pub struct FleetReport {
     pub outcomes: Vec<SessionOutcome>,
     /// Per-device rollups, sorted by device index.
     pub devices: Vec<DeviceReport>,
-    /// Tasks executed by a worker other than their home deque's owner.
-    pub tasks_stolen: u64,
     /// Tasks that finished past their deadline.
     pub deadline_misses: u64,
     /// Trace-plane counter deltas across the run (name, delta), in
@@ -340,8 +337,9 @@ fn run_replay_task(
 /// Boots the fleet and drives every session task to completion.
 ///
 /// Returns an error if any device fails to boot or any task fails; the
-/// remaining workers drain their queues before the error is surfaced,
-/// so a failure never leaves detached threads behind (scoped threads).
+/// remaining workers run the rest of the sessions before the error is
+/// surfaced, so a failure never leaves detached threads behind (scoped
+/// threads).
 pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetReport, String> {
     let counters_before: Vec<(&'static str, u64)> = trace::counters();
     let started = Instant::now();
@@ -356,18 +354,23 @@ pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetReport, String> {
         devices.iter().map(|d| d.kernel().clock().now_ns()).collect();
 
     let workers = cfg.workers.max(1);
-    let queues = WorkQueues::new(workers, cfg.sessions);
+    let next_session = AtomicUsize::new(0);
     let mut results: Vec<Result<SessionOutcome, String>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let queues = &queues;
+            .map(|_| {
+                let next_session = &next_session;
                 let devices = &devices;
                 s.spawn(move || {
                     let mut mine = Vec::new();
-                    while let Some(task) = queues.next(w) {
-                        mine.push(run_task(cfg, devices, task.session));
+                    loop {
+                        // Relaxed: the index publishes no other data;
+                        // outcomes come back through `join`.
+                        let index = next_session.fetch_add(1, Ordering::Relaxed);
+                        if index >= cfg.sessions {
+                            break mine;
+                        }
+                        mine.push(run_task(cfg, devices, index));
                     }
-                    mine
                 })
             })
             .collect();
@@ -410,7 +413,6 @@ pub fn run_fleet(cfg: &FleetConfig) -> Result<FleetReport, String> {
         wall_ns,
         outcomes,
         devices: device_reports,
-        tasks_stolen: queues.stolen(),
         deadline_misses,
         counter_deltas,
     })

@@ -43,15 +43,13 @@ fn percentiles_json(p: Percentiles) -> String {
 pub fn report_json(report: &FleetReport) -> String {
     use std::fmt::Write;
     let mut out = String::with_capacity(1024);
-    let attach: Vec<u64> = report.outcomes.iter().map(|o| o.attach_wall_ns).collect();
-    let frames: Vec<u64> =
-        report.outcomes.iter().flat_map(|o| o.frame_wall_ns.iter().copied()).collect();
+    let frames_total: usize = report.outcomes.iter().map(|o| o.frame_wall_ns.len()).sum();
     write!(
         out,
         "{{\"name\":\"{}\",\"devices\":{},\"sessions\":{},\"workers\":{},\
          \"frames_per_session\":{},\"seed\":{},\"display\":[{},{}],\
          \"wall_ms\":{:.3},\"frames_total\":{},\"throughput_fps\":{:.1},\
-         \"attach_ns\":{},\"frame_ns\":{},\"tasks_stolen\":{},\"deadline_misses\":{}",
+         \"attach_ns\":{},\"frame_ns\":{},\"deadline_misses\":{}",
         json_escape(&report.name),
         report.devices.len(),
         report.outcomes.len(),
@@ -61,11 +59,10 @@ pub fn report_json(report: &FleetReport) -> String {
         report.display.0,
         report.display.1,
         report.wall_ns as f64 / 1e6,
-        frames.len(),
-        frames.len() as f64 / (report.wall_ns as f64 / 1e9),
-        percentiles_json(percentiles(&attach)),
-        percentiles_json(percentiles(&frames)),
-        report.tasks_stolen,
+        frames_total,
+        report.throughput_fps(),
+        percentiles_json(report.attach_percentiles()),
+        percentiles_json(report.frame_percentiles()),
         report.deadline_misses,
     )
     .expect("write to String cannot fail");

@@ -12,14 +12,13 @@
 //!
 //! # Composition (DESIGN.md §5g)
 //!
-//! Every present recomposes in full: each queued blit is one
+//! Every present recomposes in full: each layer is one
 //! [`raster::blit_clipped`] onto the scanout, clipped to the panel.
 //! There is no tile memo — EGL's front/back alternation means
 //! consecutive posts come from different allocations, so nothing on the
 //! present path is ever provably unchanged since the last frame.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -32,31 +31,6 @@ use cycada_sim::slots::SlotTable;
 use cycada_sim::trace;
 
 use crate::buffer::GraphicBuffer;
-
-/// Spins this many iterations on a `spin_loop` hint before falling back
-/// to `yield_now` — publication windows are a handful of instructions,
-/// so a short spin usually wins without burning a scheduler trip.
-const SPIN_LIMIT: u32 = 64;
-
-/// Spin-then-yield backoff for the present-path wait loops.
-struct Backoff {
-    spins: u32,
-}
-
-impl Backoff {
-    fn new() -> Self {
-        Backoff { spins: 0 }
-    }
-
-    fn wait(&mut self) {
-        if self.spins < SPIN_LIMIT {
-            self.spins += 1;
-            std::hint::spin_loop();
-        } else {
-            std::thread::yield_now();
-        }
-    }
-}
 
 /// The compositor for one display.
 ///
@@ -77,46 +51,10 @@ pub struct SurfaceFlinger {
     /// Per-handle layer assignments, sharded so presenters of different
     /// buffers never contend on a table-wide lock (DESIGN.md §5f).
     layers: SlotTable<Rect>,
-    /// Next present-queue ticket (ticket order is application order).
-    present_tickets: AtomicU64,
-    /// Tickets fully applied to the scanout.
-    present_drained: AtomicU64,
-    /// Published-but-not-yet-applied frames, keyed by ticket.
-    present_queue: SlotTable<Arc<PresentOp>>,
-    /// Held by the one thread currently applying queued frames.
-    /// Acquired only with `try_lock`: an uncontended presenter drains
-    /// its own frame synchronously, a contended one enqueues and waits.
-    drain_lock: Mutex<()>,
-    /// Milliseconds the drainer waits for a claimed ticket's op to be
-    /// published before concluding the enqueuer died mid-present (it
-    /// panicked or was killed between claiming the ticket and
-    /// publishing the op) and skipping the ticket. The live publication
-    /// window is a handful of instructions, so the default is orders of
-    /// magnitude beyond any reachable stall; tests of the skip path
-    /// lower it via [`SurfaceFlinger::set_publish_deadline_ms`].
-    publish_deadline_ms: AtomicU64,
-}
-
-/// Default [`SurfaceFlinger::set_publish_deadline_ms`] value.
-const PUBLISH_DEADLINE_MS_DEFAULT: u64 = 5_000;
-
-/// One blit of a queued frame. `clip` is `dst_rect ∩ panel`, computed
-/// at enqueue: the only pixels the blit may write. `dst_rect` itself
-/// may hang past the panel — it stays the *logical* destination so the
-/// scaling arithmetic is unchanged by clipping.
-struct Blit {
-    src: Image,
-    src_rect: Rect,
-    dst_rect: Rect,
-    clip: Rect,
-}
-
-/// One queued frame: the blits to apply onto the scanout, in order. All
-/// virtual-time and statistics accounting already happened on the
-/// enqueuing thread, so applying an op is pure byte work.
-struct PresentOp {
-    blits: Vec<Blit>,
-    done: AtomicBool,
+    /// Held while one frame's blits are written to the scanout. All
+    /// accounting happens before it is taken, so it guards byte work
+    /// only (DESIGN.md §5f).
+    compose_lock: Mutex<()>,
 }
 
 impl SurfaceFlinger {
@@ -126,29 +64,8 @@ impl SurfaceFlinger {
             display,
             gpu,
             layers: SlotTable::new(),
-            present_tickets: AtomicU64::new(0),
-            present_drained: AtomicU64::new(0),
-            present_queue: SlotTable::new(),
-            drain_lock: Mutex::new(()),
-            publish_deadline_ms: AtomicU64::new(PUBLISH_DEADLINE_MS_DEFAULT),
+            compose_lock: Mutex::new(()),
         }
-    }
-
-    /// Overrides the drainer's publication deadline. Test hook for
-    /// exercising the dead-presenter skip path without a 5 s stall; not
-    /// part of the supported API.
-    #[doc(hidden)]
-    pub fn set_publish_deadline_ms(&self, ms: u64) {
-        self.publish_deadline_ms.store(ms.max(1), Ordering::Relaxed);
-    }
-
-    /// Claims a present ticket without ever publishing an op for it —
-    /// the exact state a presenter leaves behind when it dies between
-    /// `fetch_add` and the queue publish. Test hook; not part of the
-    /// supported API.
-    #[doc(hidden)]
-    pub fn abandon_ticket_for_test(&self) -> u64 {
-        self.present_tickets.fetch_add(1, Ordering::AcqRel)
     }
 
     /// The display being composed to.
@@ -182,8 +99,7 @@ impl SurfaceFlinger {
     pub fn post_image(&self, image: &Image) {
         let _tspan = trace::span(trace::Category::Gralloc, "flinger_post_image");
         trace::bump(trace::Counter::Compositions);
-        let dst = self.panel();
-        self.present(vec![(image.clone(), Rect::of_image(image), dst)]);
+        self.present(&[(image, self.panel())]);
     }
 
     /// Assigns a destination rectangle to a buffer handle: subsequent
@@ -230,148 +146,37 @@ impl SurfaceFlinger {
         let mut tspan = trace::span(trace::Category::Gralloc, "flinger_composite");
         tspan.set_arg(layers.len() as u64);
         trace::bump(trace::Counter::Compositions);
-        let blits = layers
-            .iter()
-            .map(|(image, dst)| ((*image).clone(), Rect::of_image(image), *dst))
-            .collect();
-        self.present(blits);
+        self.present(layers);
     }
 
-    /// Queues one frame and waits for it to reach the scanout.
+    /// Charges one frame, then writes its layers onto the scanout.
     ///
     /// All accounting — per-layer copy cost, the fixed present cost, the
-    /// frame counter — is charged here on the issuing thread **before**
-    /// the frame is queued, so each session's virtual-time ledger is
-    /// exactly what the old synchronous compositor produced no matter
-    /// which thread ends up doing the byte work.
-    /// The queue is a ticket sequence over a [`SlotTable`]; whoever wins
-    /// `drain_lock` applies pending frames in ticket order while
-    /// contended presenters spin-then-yield on their own frame's `done`
-    /// flag (counted as [`trace::Counter::FlingerLockWaits`]).
-    fn present(&self, blits: Vec<(Image, Rect, Rect)>) {
-        for (_, src_rect, dst_rect) in &blits {
-            self.gpu
-                .charge_blit_pixels(GpuDevice::blit_pixels(*src_rect, *dst_rect), DrawClass::TwoD);
+    /// frame counter — is charged here on the presenting thread
+    /// **before** any bytes move, so each session's virtual-time ledger
+    /// does not depend on which presenter reaches the scanout first.
+    /// The byte work then runs under `compose_lock`: one
+    /// [`raster::blit_clipped`] per layer, in order, clipped to the
+    /// panel. A presenter that finds the lock held counts one
+    /// [`trace::Counter::FlingerLockWaits`] and blocks.
+    fn present(&self, layers: &[(&Image, Rect)]) {
+        for (image, dst_rect) in layers {
+            self.gpu.charge_blit_pixels(
+                GpuDevice::blit_pixels(Rect::of_image(image), *dst_rect),
+                DrawClass::TwoD,
+            );
         }
         self.gpu.charge_present();
         self.display.frame_presented();
 
         let panel = self.panel();
-        let blits = blits
-            .into_iter()
-            .map(|(src, src_rect, dst_rect)| Blit {
-                src,
-                src_rect,
-                dst_rect,
-                clip: dst_rect.intersect(&panel),
-            })
-            .collect();
-
-        let ticket = self.present_tickets.fetch_add(1, Ordering::AcqRel);
-        let op = Arc::new(PresentOp {
-            blits,
-            done: AtomicBool::new(false),
-        });
-        check::schedule_point("flinger.present", ticket as usize, Access::Write);
-        self.present_queue.set(ticket, Some(op.clone()));
-        self.drain();
-        let mut contended = false;
-        let mut backoff = Backoff::new();
-        while !op.done.load(Ordering::Acquire) {
-            // If the drain loop's publication deadline expired before our
-            // op became visible, it skipped our ticket (presumed us dead
-            // — see `drain`). The frame is dropped, not wedged: reclaim
-            // the queue slot and return. All virtual-time accounting
-            // already happened at enqueue, so the ledger is unaffected.
-            if self.present_drained.load(Ordering::Acquire) > ticket
-                && !op.done.load(Ordering::Acquire)
-            {
-                self.present_queue.set(ticket, None);
-                return;
-            }
-            if !contended {
-                contended = true;
-                trace::bump(trace::Counter::FlingerLockWaits);
-            }
-            backoff.wait();
-            // The drainer may have exited before our ticket became
-            // visible; keep volunteering until our frame is applied.
-            self.drain();
-        }
-    }
-
-    /// Applies queued frames in ticket order if no other thread already
-    /// is. Returns with the queue either empty or owned by another
-    /// drainer that is guaranteed to observe any ticket published before
-    /// this call.
-    fn drain(&self) {
-        loop {
-            let Some(guard) = self.drain_lock.try_lock() else {
-                return;
-            };
-            loop {
-                let next = self.present_drained.load(Ordering::Acquire);
-                if next >= self.present_tickets.load(Ordering::Acquire) {
-                    break;
-                }
-                // The ticket is claimed before the op is published; wait
-                // out the enqueuer's tiny publication window. The wait is
-                // bounded: a presenter that died between claiming the
-                // ticket and publishing (panic mid-present under session
-                // teardown) would otherwise wedge every session sharing
-                // this display, so after the publication deadline the
-                // ticket is skipped and counted instead
-                // (`present-teardown-skips`). The wall deadline is armed
-                // lazily — the common published-immediately case never
-                // reads the clock.
-                let mut backoff = Backoff::new();
-                let mut waited_since: Option<std::time::Instant> = None;
-                let op = loop {
-                    check::schedule_point("flinger.present", next as usize, Access::Read);
-                    if let Some(op) = self.present_queue.get(next) {
-                        break Some(op);
-                    }
-                    let since = *waited_since.get_or_insert_with(std::time::Instant::now);
-                    if since.elapsed().as_millis() as u64
-                        >= self.publish_deadline_ms.load(Ordering::Relaxed)
-                    {
-                        break None;
-                    }
-                    backoff.wait();
-                };
-                match op {
-                    Some(op) => {
-                        self.apply(&op);
-                        op.done.store(true, Ordering::Release);
-                        self.present_queue.set(next, None);
-                    }
-                    None => {
-                        // Enqueuer presumed dead: skip-and-count. If it
-                        // was merely stalled it detects the skip in its
-                        // own wait loop (`present`) and reclaims the slot.
-                        trace::bump(trace::Counter::PresentTeardownSkips);
-                    }
-                }
-                self.present_drained.store(next + 1, Ordering::Release);
-            }
-            drop(guard);
-            // A ticket published after our last emptiness check but before
-            // the lock release would be stranded if its enqueuer lost the
-            // try_lock race to us; recheck and re-volunteer.
-            if self.present_drained.load(Ordering::Acquire)
-                >= self.present_tickets.load(Ordering::Acquire)
-            {
-                return;
-            }
-        }
-    }
-
-    /// Applies one frame onto the scanout: every blit in order, each
-    /// clipped to the panel (empty and off-panel blits write nothing).
-    fn apply(&self, op: &PresentOp) {
         let scanout = self.scanout_image();
-        for b in &op.blits {
-            raster::blit_clipped(&b.src, b.src_rect, &scanout, b.dst_rect, b.clip);
+        let _guard = self.compose_lock.try_lock().unwrap_or_else(|| {
+            trace::bump(trace::Counter::FlingerLockWaits);
+            self.compose_lock.lock()
+        });
+        for (image, dst_rect) in layers {
+            raster::blit_clipped(image, Rect::of_image(image), &scanout, *dst_rect, panel);
         }
     }
 }
@@ -487,9 +292,9 @@ mod tests {
     #[test]
     fn concurrent_disjoint_posts_latch_every_frame() {
         // Four presenters own one quadrant each of a 16x16 panel and post
-        // concurrently through the ticketed present queue. Every frame
-        // must latch, and each quadrant must end with its owner's color
-        // (disjoint rects commute, so any ticket order is correct).
+        // concurrently through the compose lock. Every frame must latch,
+        // and each quadrant must end with its owner's color (disjoint
+        // rects commute, so any acquisition order is correct).
         let gpu = Arc::new(GpuDevice::new(VirtualClock::new(), GpuCostModel::tegra3()));
         let sf = Arc::new(SurfaceFlinger::new(Display::new(16, 16), gpu));
         let colors = [Rgba::RED, Rgba::GREEN, Rgba::BLUE, Rgba::WHITE];
@@ -522,27 +327,6 @@ mod tests {
             let (x, y) = ((i as u32 % 2) * 8 + 3, (i as u32 / 2) * 8 + 3);
             assert_eq!(sf.display().pixel(x, y), color.to_bytes(), "quadrant {i}");
         }
-    }
-
-    #[test]
-    fn dead_presenter_ticket_is_skipped_not_wedged() {
-        // A presenter that dies between claiming its ticket and
-        // publishing its op used to wedge the drain loop (and with it
-        // every session sharing the display) forever. The drainer must
-        // now skip the abandoned ticket after the publication deadline,
-        // count it, and keep latching later frames.
-        let sf = flinger();
-        sf.set_publish_deadline_ms(10);
-        let before = trace::counter(trace::Counter::PresentTeardownSkips);
-        sf.abandon_ticket_for_test();
-        let frame = Image::new(8, 8, PixelFormat::Rgba8888);
-        frame.fill(Rgba::GREEN);
-        sf.post_image(&frame); // would hang before the fix
-        assert_eq!(sf.display().pixel(4, 4), [0, 255, 0, 255], "later frame still latches");
-        assert!(
-            trace::counter(trace::Counter::PresentTeardownSkips) > before,
-            "the abandoned ticket is counted"
-        );
     }
 
     #[test]

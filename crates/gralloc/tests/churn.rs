@@ -112,7 +112,7 @@ fn concurrent_churn_never_reuses_live_handles_or_leaks() {
 
 #[test]
 fn sessions_torn_down_mid_present_never_wedge_or_panic() {
-    // Presenters post layered buffers through the ticketed present queue
+    // Presenters post layered buffers through the compose lock
     // while churn threads concurrently tear sessions down around them:
     // freeing buffers, clearing layer assignments, and reassigning the
     // same handle ranges. Every present must latch (no wedge), nothing

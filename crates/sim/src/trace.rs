@@ -130,8 +130,8 @@ pub enum Counter {
     /// Gralloc contention: a CPU lock/unlock of a GraphicBuffer found the
     /// pixel guard held by another thread.
     GrallocLockWaits,
-    /// SurfaceFlinger contention: a present found another thread draining
-    /// the present queue and had to wait for its own frame to latch.
+    /// SurfaceFlinger contention: a present found another thread holding
+    /// the compose lock and had to wait to write its frame.
     FlingerLockWaits,
     /// Retired: nothing bumps it since the compositor's tile memo was
     /// deleted (DESIGN.md §5g). Kept, always zero, because the
@@ -155,22 +155,19 @@ pub enum Counter {
     /// meaningless. Always on — each bump is a metered span whose
     /// virtual time was silently lost (credited as zero).
     MeterLedgerInversions,
-    /// Present tickets the drain loop gave up waiting on: the enqueuer
-    /// claimed a ticket but never published its op within the
-    /// publication deadline (it panicked or was killed mid-present).
-    /// The frame is dropped and counted instead of wedging every other
-    /// session sharing the device.
+    /// Retired: always zero. It counted frames the flinger's ticketed
+    /// present queue skipped when a presenter died between claiming a
+    /// ticket and publishing its frame; that queue is gone and the
+    /// compose lock has no such state (DESIGN.md §5f). Kept because the
+    /// benchmark still reads it by name.
     PresentTeardownSkips,
-    /// Fleet tasks executed by a worker other than the one they were
-    /// initially queued on (work-stealing migrations).
-    FleetTasksStolen,
     /// Fleet tasks that finished after their per-task wall deadline.
     FleetDeadlineMisses,
 }
 
 impl Counter {
     /// Every counter, in declaration order.
-    pub const ALL: [Counter; 28] = [
+    pub const ALL: [Counter; 27] = [
         Counter::DiplomatCalls,
         Counter::PersonaSwitches,
         Counter::ImpersonationsBegun,
@@ -197,7 +194,6 @@ impl Counter {
         Counter::DamageMergeFallbacks,
         Counter::MeterLedgerInversions,
         Counter::PresentTeardownSkips,
-        Counter::FleetTasksStolen,
         Counter::FleetDeadlineMisses,
     ];
 
@@ -230,7 +226,6 @@ impl Counter {
             Counter::DamageMergeFallbacks => "damage-merge-fallbacks",
             Counter::MeterLedgerInversions => "meter-ledger-inversions",
             Counter::PresentTeardownSkips => "present-teardown-skips",
-            Counter::FleetTasksStolen => "fleet-tasks-stolen",
             Counter::FleetDeadlineMisses => "fleet-deadline-misses",
         }
     }
