@@ -55,7 +55,7 @@ fn bench_dlforce_replica(c: &mut Criterion) {
 fn bench_thread_impersonation(c: &mut Criterion) {
     let device = CycadaDevice::boot_with_display(Some((64, 48))).expect("boot");
     let main = device.main_tid();
-    let worker = device.spawn_ios_thread().expect("spawn");
+    let worker = device.spawn_thread().expect("spawn");
     let engine = device.engine().clone();
     for slot in 10..18 {
         engine

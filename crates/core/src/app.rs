@@ -24,28 +24,22 @@ use cycada_sim::{stats::FunctionStats, trace, Nanos, Platform, VirtualClock};
 
 use crate::eagl::EaglContextId;
 use crate::error::CycadaError;
-use crate::process::{
-    AndroidDevice, AndroidSession, CycadaDevice, CycadaSession, IosDevice, IosSession,
-    SessionScope,
-};
+use crate::process::{AndroidDevice, CycadaDevice, IosDevice, Session, SessionScope};
 use crate::Result;
 
 enum Backend {
     CycadaIos {
         device: CycadaDevice,
-        session: CycadaSession,
         eagl_ctx: EaglContextId,
         fbo: u32,
     },
     Android {
         device: AndroidDevice,
-        session: AndroidSession,
         ctx: EglContextId,
         surface: EglSurfaceId,
     },
     NativeIos {
         device: IosDevice,
-        session: IosSession,
         eagl_ctx: u32,
         fbo: u32,
     },
@@ -56,7 +50,7 @@ pub struct AppGl {
     platform: Platform,
     version: GlesVersion,
     backend: Backend,
-    tid: SimTid,
+    session: Session,
     width: u32,
     height: u32,
     // v2 emulation of the matrix stack (v1 forwards to GL).
@@ -118,7 +112,7 @@ impl AppGl {
 
     fn with_cycada_session(
         device: CycadaDevice,
-        session: CycadaSession,
+        session: Session,
         version: GlesVersion,
     ) -> Result<AppGl> {
         let tid = session.main_tid();
@@ -140,11 +134,10 @@ impl AppGl {
             version,
             backend: Backend::CycadaIos {
                 device,
-                session,
                 eagl_ctx,
                 fbo,
             },
-            tid,
+            session,
             width: w,
             height: h,
             mvp_stack: vec![Mat4::identity()],
@@ -182,7 +175,7 @@ impl AppGl {
 
     fn with_android_session(
         device: AndroidDevice,
-        session: AndroidSession,
+        session: Session,
         platform: Platform,
         version: GlesVersion,
     ) -> Result<AppGl> {
@@ -198,11 +191,10 @@ impl AppGl {
             version,
             backend: Backend::Android {
                 device,
-                session,
                 ctx,
                 surface,
             },
-            tid,
+            session,
             width: w,
             height: h,
             mvp_stack: vec![Mat4::identity()],
@@ -232,7 +224,7 @@ impl AppGl {
 
     fn with_native_ios_session(
         device: IosDevice,
-        session: IosSession,
+        session: Session,
         version: GlesVersion,
     ) -> Result<AppGl> {
         let tid = session.main_tid();
@@ -254,11 +246,10 @@ impl AppGl {
             version,
             backend: Backend::NativeIos {
                 device,
-                session,
                 eagl_ctx,
                 fbo,
             },
-            tid,
+            session,
             width: w,
             height: h,
             mvp_stack: vec![Mat4::identity()],
@@ -342,15 +333,15 @@ impl AppGl {
         g: impl FnOnce(&Arc<VendorGles>, SimTid) -> Result<R>,
     ) -> Result<R> {
         match &self.backend {
-            Backend::CycadaIos { device, .. } => f(device.bridge(), self.tid),
+            Backend::CycadaIos { device, .. } => f(device.bridge(), self.tid()),
             Backend::Android { device, .. } => {
                 let gles = device
                     .egl()
-                    .gles_for_thread(self.tid)
+                    .gles_for_thread(self.tid())
                     .map_err(CycadaError::from)?;
-                g(&gles, self.tid)
+                g(&gles, self.tid())
             }
-            Backend::NativeIos { device, .. } => g(device.stack().gles(), self.tid),
+            Backend::NativeIos { device, .. } => g(device.stack().gles(), self.tid()),
         }
     }
 
@@ -370,7 +361,7 @@ impl AppGl {
 
     /// The app's main thread.
     pub fn tid(&self) -> SimTid {
-        self.tid
+        self.session.main_tid()
     }
 
     /// Render target width.
@@ -385,11 +376,7 @@ impl AppGl {
 
     /// The simulated kernel behind this app.
     pub fn kernel(&self) -> Arc<cycada_kernel::Kernel> {
-        match &self.backend {
-            Backend::CycadaIos { device, .. } => device.kernel().clone(),
-            Backend::Android { device, .. } => device.kernel().clone(),
-            Backend::NativeIos { device, .. } => device.kernel().clone(),
-        }
+        self.session.kernel().clone()
     }
 
     /// Charges CPU-bound app work (layout, painting, JS) scaled by the
@@ -405,11 +392,7 @@ impl AppGl {
 
     /// The shared virtual clock.
     pub fn clock(&self) -> VirtualClock {
-        match &self.backend {
-            Backend::CycadaIos { device, .. } => device.kernel().clock().clone(),
-            Backend::Android { device, .. } => device.kernel().clock().clone(),
-            Backend::NativeIos { device, .. } => device.kernel().clock().clone(),
-        }
+        self.session.kernel().clock().clone()
     }
 
     /// Current virtual time.
@@ -419,11 +402,7 @@ impl AppGl {
 
     /// The device display.
     pub fn display(&self) -> Display {
-        match &self.backend {
-            Backend::CycadaIos { device, .. } => device.kernel().display().clone(),
-            Backend::Android { device, .. } => device.kernel().display().clone(),
-            Backend::NativeIos { device, .. } => device.kernel().display().clone(),
-        }
+        self.session.kernel().display().clone()
     }
 
     /// Per-GLES-function diplomat statistics — only meaningful on
@@ -444,12 +423,9 @@ impl AppGl {
         }
     }
 
-    /// The Cycada session this app runs in, when on Cycada iOS.
-    pub fn cycada_session(&self) -> Option<&CycadaSession> {
-        match &self.backend {
-            Backend::CycadaIos { session, .. } => Some(session),
-            _ => None,
-        }
+    /// The session this app runs in.
+    pub fn session(&self) -> &Session {
+        &self.session
     }
 
     /// Opens this app's session accounting scope on the calling host
@@ -457,27 +433,19 @@ impl AppGl {
     /// while the guard lives are credited to the session, independent of
     /// other sessions interleaving on the shared device.
     pub fn session_scope(&self) -> SessionScope {
-        match &self.backend {
-            Backend::CycadaIos { session, .. } => session.scope(),
-            Backend::Android { session, .. } => session.scope(),
-            Backend::NativeIos { session, .. } => session.scope(),
-        }
+        self.session.scope()
     }
 
     /// Virtual nanoseconds this app's session has accumulated inside its
     /// scopes ([`AppGl::session_scope`]).
     pub fn session_virtual_ns(&self) -> Nanos {
-        match &self.backend {
-            Backend::CycadaIos { session, .. } => session.virtual_ns(),
-            Backend::Android { session, .. } => session.virtual_ns(),
-            Backend::NativeIos { session, .. } => session.virtual_ns(),
-        }
+        self.session.virtual_ns()
     }
 
     /// Per-diplomat stats recorded inside this session's scopes — only
     /// meaningful on Cycada iOS.
     pub fn session_stats(&self) -> Option<FunctionStats> {
-        self.cycada_session().map(|s| s.stats().clone())
+        self.session.stats().cloned()
     }
 
     // ------------------------------------------------------------------
@@ -519,8 +487,8 @@ impl AppGl {
 
     /// Current values of every trace counter, in declaration order. The
     /// failure/lifecycle counters (swallowed impersonation-drop errors,
-    /// row-bytes teardown skips, replica loads, EGL lifecycle, presents)
-    /// count even while tracing is disabled.
+    /// replica loads, EGL lifecycle, presents) count even while tracing is
+    /// disabled.
     pub fn trace_counters(&self) -> Vec<(&'static str, u64)> {
         trace::counters()
     }
@@ -1124,12 +1092,12 @@ impl AppGl {
     /// it bypasses the diplomat path.
     pub fn set_draw_class(&self, class: cycada_gpu::DrawClass) {
         let gles = match &self.backend {
-            Backend::CycadaIos { device, .. } => device.egl().gles_for_thread(self.tid).ok(),
-            Backend::Android { device, .. } => device.egl().gles_for_thread(self.tid).ok(),
+            Backend::CycadaIos { device, .. } => device.egl().gles_for_thread(self.tid()).ok(),
+            Backend::Android { device, .. } => device.egl().gles_for_thread(self.tid()).ok(),
             Backend::NativeIos { device, .. } => Some(device.stack().gles().clone()),
         };
         if let Some(gles) = gles {
-            gles.set_draw_class(self.tid, class);
+            gles.set_draw_class(self.tid(), class);
         }
         if replay::active() {
             replay::record(op::DRAW_CLASS, &[u64::from(class.code())], &[]);
@@ -1242,16 +1210,16 @@ impl AppGl {
         match &self.backend {
             Backend::CycadaIos {
                 device, eagl_ctx, ..
-            } => device.eagl().present_renderbuffer(self.tid, *eagl_ctx),
+            } => device.eagl().present_renderbuffer(self.tid(), *eagl_ctx),
             Backend::Android {
                 device, surface, ..
             } => Ok(device
                 .egl()
-                .swap_buffers(self.tid, *surface)
+                .swap_buffers(self.tid(), *surface)
                 .map_err(CycadaError::from)?),
             Backend::NativeIos {
                 device, eagl_ctx, ..
-            } => device.stack().present_renderbuffer(self.tid, *eagl_ctx),
+            } => device.stack().present_renderbuffer(self.tid(), *eagl_ctx),
         }?;
         if replay::active() {
             // The post-present digest rides along as the expected value

@@ -15,9 +15,7 @@
 //! * the two **multi**-diplomat IOSurface binding functions live in
 //!   [`crate::IoSurfaceBridge`].
 
-use std::cell::RefCell;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
@@ -31,9 +29,9 @@ use cycada_gles::{
 };
 use cycada_gpu::math::Mat4;
 use cycada_kernel::SimTid;
+use cycada_sim::fn_id;
 use cycada_sim::intern::FnDense;
-use cycada_sim::{fn_id, trace};
-
+use cycada_sim::slots::SlotTable;
 
 use crate::error::CycadaError;
 use crate::Result;
@@ -42,39 +40,14 @@ use crate::Result;
 /// read-in/write-out the `APPLE_row_bytes` data-dependent diplomats do).
 const REPACK_BYTE_NS: f64 = 0.3;
 
-/// Bridge-side `APPLE_row_bytes` state, kept per thread because the Android
-/// context cannot hold it (the enums are unknown there).
+/// Bridge-side `APPLE_row_bytes` state of one simulated thread. The
+/// Android context cannot hold it (the enums are unknown there), so the
+/// bridge owns it, keyed by sim tid: any host thread driving that simulated
+/// thread sees the same state, and it is freed with the bridge.
 #[derive(Debug, Clone, Copy, Default)]
 struct RowBytes {
     unpack: usize,
     pack: usize,
-}
-
-/// Distinguishes bridge instances in the thread-local row-bytes state so
-/// two bridges on one host thread cannot alias each other's entries.
-static NEXT_BRIDGE_INSTANCE: AtomicU64 = AtomicU64::new(0);
-
-/// Instances of bridges still alive. Long-lived host threads serve many
-/// short-lived sessions/devices, so thread-local row-bytes entries must be
-/// evicted once their bridge is gone — membership here is the liveness
-/// test ([`GlesBridge`]'s `Drop` retires the instance).
-static LIVE_BRIDGES: std::sync::OnceLock<Mutex<std::collections::HashSet<u64>>> =
-    std::sync::OnceLock::new();
-
-fn live_bridges() -> &'static Mutex<std::collections::HashSet<u64>> {
-    LIVE_BRIDGES.get_or_init(|| Mutex::new(std::collections::HashSet::new()))
-}
-
-/// Entry count above which an insert first evicts entries of dropped
-/// bridges (and informationless default entries) from the calling thread.
-const ROW_BYTES_PRUNE_LEN: usize = 8;
-
-thread_local! {
-    /// `(bridge instance, sim tid)` → `APPLE_row_bytes` state. A short
-    /// linear-scanned vec: a thread touches a handful of (bridge, tid)
-    /// pairs, and the scan replaces the old global mutex + hash per call.
-    /// Growth across session churn is bounded by pruning on insert.
-    static ROW_BYTES: RefCell<Vec<((u64, u64), RowBytes)>> = const { RefCell::new(Vec::new()) };
 }
 
 type DeleteHook = Box<dyn Fn(&[u32]) + Send + Sync>;
@@ -84,7 +57,7 @@ pub struct GlesBridge {
     engine: Arc<DiplomatEngine>,
     egl: Arc<AndroidEgl>,
     entries: FnDense<OnceLock<Arc<DiplomatEntry>>>,
-    instance: u64,
+    row_bytes: SlotTable<RowBytes>,
     on_delete_textures: Mutex<Option<DeleteHook>>,
 }
 
@@ -94,13 +67,11 @@ impl GlesBridge {
     /// dispatch.
     pub fn new(engine: Arc<DiplomatEngine>, egl: Arc<AndroidEgl>) -> Self {
         GlesRegistry::global();
-        let instance = NEXT_BRIDGE_INSTANCE.fetch_add(1, Ordering::Relaxed);
-        live_bridges().lock().insert(instance);
         GlesBridge {
             engine,
             egl,
             entries: FnDense::new(),
-            instance,
+            row_bytes: SlotTable::new(),
             on_delete_textures: Mutex::new(None),
         }
     }
@@ -188,38 +159,13 @@ impl GlesBridge {
     }
 
     fn row_bytes(&self, tid: SimTid) -> RowBytes {
-        let key = (self.instance, tid.as_u64());
-        ROW_BYTES.with(|state| {
-            state
-                .borrow()
-                .iter()
-                .find(|(k, _)| *k == key)
-                .map(|(_, rb)| *rb)
-                .unwrap_or_default()
-        })
+        self.row_bytes.get(tid.as_u64()).unwrap_or_default()
     }
 
     fn update_row_bytes(&self, tid: SimTid, f: impl FnOnce(&mut RowBytes)) {
-        let key = (self.instance, tid.as_u64());
-        ROW_BYTES.with(|state| {
-            let mut state = state.borrow_mut();
-            if let Some((_, rb)) = state.iter_mut().find(|(k, _)| *k == key) {
-                f(rb);
-            } else {
-                if state.len() >= ROW_BYTES_PRUNE_LEN {
-                    // Evict entries whose bridge is gone, plus defaults
-                    // (absence already reads as default), so session churn
-                    // cannot grow the scan without bound.
-                    let live = live_bridges().lock();
-                    state.retain(|((inst, _), rb)| {
-                        live.contains(inst) && (rb.unpack != 0 || rb.pack != 0)
-                    });
-                }
-                let mut rb = RowBytes::default();
-                f(&mut rb);
-                state.push((key, rb));
-            }
-        });
+        let mut rb = self.row_bytes(tid);
+        f(&mut rb);
+        self.row_bytes.set(tid.as_u64(), Some(rb));
     }
 
     fn charge_repack(&self, bytes: usize) {
@@ -851,29 +797,6 @@ impl GlesBridge {
     }
 }
 
-impl Drop for GlesBridge {
-    fn drop(&mut self) {
-        // Retire the instance and drop this thread's own entries eagerly;
-        // other threads' entries for it are evicted lazily on their next
-        // insert (they can no longer match a live instance).
-        live_bridges().lock().remove(&self.instance);
-        if ROW_BYTES
-            .try_with(|state| {
-                state.borrow_mut().retain(|((inst, _), _)| *inst != self.instance);
-            })
-            .is_err()
-        {
-            // The bridge is dropping during this thread's TLS teardown:
-            // ROW_BYTES is already destroyed and the eager eviction cannot
-            // run. That is safe (other threads evict stale entries lazily)
-            // but must not be invisible — count the skip so leaked scan
-            // entries are observable.
-            trace::bump(trace::Counter::RowBytesTeardownSkips);
-            trace::instant(trace::Category::Bridge, "row_bytes_teardown_skip", self.instance);
-        }
-    }
-}
-
 impl fmt::Debug for GlesBridge {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("GlesBridge")
@@ -1021,82 +944,5 @@ mod tests {
     #[test]
     fn surface_size_is_table2_total() {
         assert_eq!(bridged_surface_size(), 344);
-    }
-
-    fn thread_row_bytes_len() -> usize {
-        ROW_BYTES.with(|state| state.borrow().len())
-    }
-
-    #[test]
-    fn dropping_a_bridge_clears_this_threads_row_bytes() {
-        let device = crate::process::CycadaDevice::boot_with_display(Some((4, 4))).unwrap();
-        let tid = device.main_tid();
-        device
-            .bridge()
-            .pixel_storei(tid, PixelStoreParam::UnpackRowBytesApple, 64)
-            .unwrap();
-        let instance = device.bridge().instance;
-        let has_entry = || {
-            ROW_BYTES.with(|s| s.borrow().iter().any(|((inst, _), _)| *inst == instance))
-        };
-        assert!(has_entry());
-        drop(device);
-        assert!(!has_entry(), "Drop evicts the dropping thread's entries");
-    }
-
-    #[test]
-    fn bridge_drop_during_thread_exit_counts_row_bytes_skip() {
-        thread_local! {
-            static HOLDER: RefCell<Option<crate::process::CycadaDevice>> =
-                const { RefCell::new(None) };
-        }
-        let before = trace::counter(trace::Counter::RowBytesTeardownSkips);
-        std::thread::spawn(|| {
-            // Register HOLDER's TLS destructor BEFORE first touching
-            // ROW_BYTES: destructors run in reverse registration order
-            // (__cxa_thread_atexit is LIFO), so at thread exit ROW_BYTES
-            // is destroyed first and the bridge Drop inside HOLDER's
-            // destructor must take the skip path.
-            HOLDER.with(|h| assert!(h.borrow().is_none()));
-            let device =
-                crate::process::CycadaDevice::boot_with_display(Some((4, 4))).unwrap();
-            let tid = device.main_tid();
-            device
-                .bridge()
-                .pixel_storei(tid, PixelStoreParam::UnpackRowBytesApple, 64)
-                .unwrap();
-            HOLDER.with(|h| *h.borrow_mut() = Some(device));
-            // The thread exits with the device still held in TLS.
-        })
-        .join()
-        .expect("bridge drop during TLS teardown must not panic");
-        assert!(
-            trace::counter(trace::Counter::RowBytesTeardownSkips) > before,
-            "the skipped ROW_BYTES eviction must be visible via the trace counter"
-        );
-    }
-
-    #[test]
-    fn row_bytes_entries_do_not_grow_across_session_churn() {
-        // Entries left behind by bridges dropped on *another* host thread
-        // are pruned lazily once the scan grows past the threshold.
-        let baseline = thread_row_bytes_len();
-        for _ in 0..2 * ROW_BYTES_PRUNE_LEN {
-            let device =
-                crate::process::CycadaDevice::boot_with_display(Some((4, 4))).unwrap();
-            let tid = device.main_tid();
-            device
-                .bridge()
-                .pixel_storei(tid, PixelStoreParam::UnpackRowBytesApple, 64)
-                .unwrap();
-            // Dropping on another thread leaves this thread's entry in
-            // place, relying on the lazy prune path.
-            std::thread::spawn(move || drop(device)).join().unwrap();
-        }
-        assert!(
-            thread_row_bytes_len() <= baseline + ROW_BYTES_PRUNE_LEN + 1,
-            "entries kept growing: {} (baseline {baseline})",
-            thread_row_bytes_len(),
-        );
     }
 }

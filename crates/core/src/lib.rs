@@ -59,8 +59,7 @@ pub use gcd::DispatchQueue;
 pub use iosurface_bridge::IoSurfaceBridge;
 pub use native_ios::{register_ios_graphics, NativeIosStack, IOS_GLES_LIB};
 pub use process::{
-    AndroidDevice, AndroidSession, CycadaDevice, CycadaSession, IosDevice, IosSession,
-    SessionScope, APPLE_GRAPHICS_TLS_SLOTS,
+    AndroidDevice, CycadaDevice, IosDevice, Session, SessionScope, APPLE_GRAPHICS_TLS_SLOTS,
 };
 pub use support::{classify, SupportKind, Table2};
 

@@ -79,24 +79,31 @@ impl fmt::Debug for CycadaShared {
     }
 }
 
-/// One iOS app attached to a shared Cycada device: its process and its
-/// private accounting scope.
+/// One app attached to a shared device: its process, the persona its
+/// threads start in, and its private accounting scope. The same type serves
+/// every platform; only Cycada iOS sessions record per-diplomat stats.
 #[derive(Clone, Debug)]
-pub struct CycadaSession {
-    shared: Arc<CycadaShared>,
+pub struct Session {
+    kernel: Arc<Kernel>,
+    persona: Persona,
     main_tid: SimTid,
     meter: SessionMeter,
-    stats: FunctionStats,
+    stats: Option<FunctionStats>,
 }
 
-impl CycadaSession {
-    fn attach(shared: &Arc<CycadaShared>) -> Result<Self> {
-        let main_tid = shared.kernel.spawn_process_main(Persona::Ios)?;
-        Ok(CycadaSession {
-            shared: shared.clone(),
+impl Session {
+    fn attach(
+        kernel: &Arc<Kernel>,
+        persona: Persona,
+        stats: Option<FunctionStats>,
+    ) -> Result<Self> {
+        let main_tid = kernel.spawn_process_main(persona)?;
+        Ok(Session {
+            kernel: kernel.clone(),
+            persona,
             main_tid,
             meter: SessionMeter::new(),
-            stats: FunctionStats::new(),
+            stats,
         })
     }
 
@@ -105,19 +112,20 @@ impl CycadaSession {
         self.main_tid
     }
 
-    /// Spawns another iOS thread in this session's thread group.
+    /// Spawns another thread in this session's thread group, in the
+    /// session's persona.
     ///
     /// # Errors
     ///
     /// Returns [`CycadaError::Kernel`] if the group leader exited.
-    pub fn spawn_ios_thread(&self) -> Result<SimTid> {
-        Ok(self.shared.kernel.spawn_thread(self.main_tid, Persona::Ios)?)
+    pub fn spawn_thread(&self) -> Result<SimTid> {
+        Ok(self.kernel.spawn_thread(self.main_tid, self.persona)?)
     }
 
     /// Opens the session's accounting scope on the calling host thread.
     pub fn scope(&self) -> SessionScope {
         SessionScope {
-            _stats: Some(DiplomatEngine::enter_stats_scope(self.stats.clone())),
+            _stats: self.stats.clone().map(DiplomatEngine::enter_stats_scope),
             _meter: self.meter.enter(),
         }
     }
@@ -127,9 +135,15 @@ impl CycadaSession {
         self.meter.total_ns()
     }
 
-    /// Per-diplomat stats recorded inside this session's scopes.
-    pub fn stats(&self) -> &FunctionStats {
-        &self.stats
+    /// Per-diplomat stats recorded inside this session's scopes (Cycada
+    /// iOS only).
+    pub fn stats(&self) -> Option<&FunctionStats> {
+        self.stats.as_ref()
+    }
+
+    /// The kernel of the device this session is attached to.
+    pub(crate) fn kernel(&self) -> &Arc<Kernel> {
+        &self.kernel
     }
 }
 
@@ -142,7 +156,7 @@ impl CycadaSession {
 #[derive(Clone)]
 pub struct CycadaDevice {
     shared: Arc<CycadaShared>,
-    primary: CycadaSession,
+    primary: Session,
 }
 
 impl CycadaDevice {
@@ -231,7 +245,7 @@ impl CycadaDevice {
             iosurface_bridge,
             eagl,
         });
-        let primary = CycadaSession::attach(&shared)?;
+        let primary = Session::attach(&shared.kernel, Persona::Ios, Some(FunctionStats::new()))?;
         Ok(CycadaDevice { shared, primary })
     }
 
@@ -242,12 +256,12 @@ impl CycadaDevice {
     /// # Errors
     ///
     /// Returns [`CycadaError::Kernel`] if process creation fails.
-    pub fn attach_session(&self) -> Result<CycadaSession> {
-        CycadaSession::attach(&self.shared)
+    pub fn attach_session(&self) -> Result<Session> {
+        Session::attach(&self.shared.kernel, Persona::Ios, Some(FunctionStats::new()))
     }
 
     /// The primary session attached at boot.
-    pub fn primary_session(&self) -> &CycadaSession {
+    pub fn primary_session(&self) -> &Session {
         &self.primary
     }
 
@@ -321,8 +335,8 @@ impl CycadaDevice {
     /// # Errors
     ///
     /// Returns [`CycadaError::Kernel`] if the group leader exited.
-    pub fn spawn_ios_thread(&self) -> Result<SimTid> {
-        self.primary.spawn_ios_thread()
+    pub fn spawn_thread(&self) -> Result<SimTid> {
+        self.primary.spawn_thread()
     }
 }
 
@@ -352,62 +366,12 @@ impl fmt::Debug for AndroidShared {
     }
 }
 
-/// One Android app attached to a shared Android device.
-#[derive(Clone, Debug)]
-pub struct AndroidSession {
-    shared: Arc<AndroidShared>,
-    main_tid: SimTid,
-    meter: SessionMeter,
-}
-
-impl AndroidSession {
-    fn attach(shared: &Arc<AndroidShared>) -> Result<Self> {
-        let main_tid = shared.kernel.spawn_process_main(Persona::Android)?;
-        shared.egl.initialize(main_tid)?;
-        Ok(AndroidSession {
-            shared: shared.clone(),
-            main_tid,
-            meter: SessionMeter::new(),
-        })
-    }
-
-    /// The session's main thread.
-    pub fn main_tid(&self) -> SimTid {
-        self.main_tid
-    }
-
-    /// Spawns another Android thread in this session's thread group.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CycadaError::Kernel`] if the group leader exited.
-    pub fn spawn_thread(&self) -> Result<SimTid> {
-        Ok(self
-            .shared
-            .kernel
-            .spawn_thread(self.main_tid, Persona::Android)?)
-    }
-
-    /// Opens the session's accounting scope on the calling host thread.
-    pub fn scope(&self) -> SessionScope {
-        SessionScope {
-            _stats: None,
-            _meter: self.meter.enter(),
-        }
-    }
-
-    /// Virtual nanoseconds charged inside this session's scopes so far.
-    pub fn virtual_ns(&self) -> Nanos {
-        self.meter.total_ns()
-    }
-}
-
 /// A booted Android device (stock or Cycada kernel) hosting Android
 /// processes using the normal EGL/GLES stack.
 #[derive(Clone)]
 pub struct AndroidDevice {
     shared: Arc<AndroidShared>,
-    primary: AndroidSession,
+    primary: Session,
 }
 
 impl AndroidDevice {
@@ -460,8 +424,15 @@ impl AndroidDevice {
             gralloc,
             egl,
         });
-        let primary = AndroidSession::attach(&shared)?;
+        let primary = Self::attach(&shared)?;
         Ok(AndroidDevice { shared, primary })
+    }
+
+    /// Spawns the app process, then initializes EGL on its main thread.
+    fn attach(shared: &AndroidShared) -> Result<Session> {
+        let session = Session::attach(&shared.kernel, Persona::Android, None)?;
+        shared.egl.initialize(session.main_tid)?;
+        Ok(session)
     }
 
     /// Attaches another app session on the already-booted shared stack.
@@ -474,12 +445,12 @@ impl AndroidDevice {
     /// # Errors
     ///
     /// Returns [`CycadaError::Kernel`] if process creation fails.
-    pub fn attach_session(&self) -> Result<AndroidSession> {
-        AndroidSession::attach(&self.shared)
+    pub fn attach_session(&self) -> Result<Session> {
+        Self::attach(&self.shared)
     }
 
     /// The primary session attached at boot.
-    pub fn primary_session(&self) -> &AndroidSession {
+    pub fn primary_session(&self) -> &Session {
         &self.primary
     }
 
@@ -552,57 +523,11 @@ impl fmt::Debug for IosShared {
     }
 }
 
-/// One native iOS app attached to a shared iPad.
-#[derive(Clone, Debug)]
-pub struct IosSession {
-    shared: Arc<IosShared>,
-    main_tid: SimTid,
-    meter: SessionMeter,
-}
-
-impl IosSession {
-    fn attach(shared: &Arc<IosShared>) -> Result<Self> {
-        let main_tid = shared.kernel.spawn_process_main(Persona::Ios)?;
-        Ok(IosSession {
-            shared: shared.clone(),
-            main_tid,
-            meter: SessionMeter::new(),
-        })
-    }
-
-    /// The session's main thread.
-    pub fn main_tid(&self) -> SimTid {
-        self.main_tid
-    }
-
-    /// Spawns another iOS thread in this session's thread group.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CycadaError::Kernel`] if the group leader exited.
-    pub fn spawn_thread(&self) -> Result<SimTid> {
-        Ok(self.shared.kernel.spawn_thread(self.main_tid, Persona::Ios)?)
-    }
-
-    /// Opens the session's accounting scope on the calling host thread.
-    pub fn scope(&self) -> SessionScope {
-        SessionScope {
-            _stats: None,
-            _meter: self.meter.enter(),
-        }
-    }
-
-    /// Virtual nanoseconds charged inside this session's scopes so far.
-    pub fn virtual_ns(&self) -> Nanos {
-        self.meter.total_ns()
-    }
-}
-
 /// A booted iPad mini running iOS apps natively.
 #[derive(Clone)]
 pub struct IosDevice {
     shared: Arc<IosShared>,
-    primary: IosSession,
+    primary: Session,
 }
 
 impl IosDevice {
@@ -643,7 +568,7 @@ impl IosDevice {
             linker,
             stack,
         });
-        let primary = IosSession::attach(&shared)?;
+        let primary = Session::attach(&shared.kernel, Persona::Ios, None)?;
         Ok(IosDevice { shared, primary })
     }
 
@@ -652,12 +577,12 @@ impl IosDevice {
     /// # Errors
     ///
     /// Returns [`CycadaError::Kernel`] if process creation fails.
-    pub fn attach_session(&self) -> Result<IosSession> {
-        IosSession::attach(&self.shared)
+    pub fn attach_session(&self) -> Result<Session> {
+        Session::attach(&self.shared.kernel, Persona::Ios, None)
     }
 
     /// The primary session attached at boot.
-    pub fn primary_session(&self) -> &IosSession {
+    pub fn primary_session(&self) -> &Session {
         &self.primary
     }
 
@@ -701,5 +626,43 @@ impl fmt::Debug for IosDevice {
         f.debug_struct("IosDevice")
             .field("kernel", &self.shared.kernel)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every platform's sessions spawn threads in that platform's persona,
+    /// inside the session's own thread group.
+    #[test]
+    fn session_threads_take_the_platform_persona_and_the_session_group() {
+        const SMALL: Option<(u32, u32)> = Some((4, 4));
+        let cycada = CycadaDevice::boot_with_display(SMALL).unwrap();
+        let stock = AndroidDevice::boot_with_display(Platform::StockAndroid, SMALL).unwrap();
+        let cycada_android =
+            AndroidDevice::boot_with_display(Platform::CycadaAndroid, SMALL).unwrap();
+        let ios = IosDevice::boot_with_display(SMALL).unwrap();
+        let cases = [
+            (cycada.primary_session().clone(), cycada.attach_session().unwrap(), Persona::Ios),
+            (stock.primary_session().clone(), stock.attach_session().unwrap(), Persona::Android),
+            (
+                cycada_android.primary_session().clone(),
+                cycada_android.attach_session().unwrap(),
+                Persona::Android,
+            ),
+            (ios.primary_session().clone(), ios.attach_session().unwrap(), Persona::Ios),
+        ];
+        for (primary, attached, persona) in cases {
+            let kernel = primary.kernel().clone();
+            for session in [primary, attached] {
+                let tid = session.spawn_thread().unwrap();
+                assert_eq!(kernel.current_persona(tid).unwrap(), persona);
+                assert_eq!(
+                    kernel.thread_group(tid).unwrap(),
+                    kernel.thread_group(session.main_tid()).unwrap(),
+                );
+            }
+        }
     }
 }

@@ -14,7 +14,7 @@
 //! texture) and then works on plain byte slices. Triangle fills are
 //! span-based — per-row edge terms are hoisted so the per-candidate test
 //! is one multiply-subtract per edge. Every path is byte-identical to
-//! the per-pixel [`reference`] rasterizer, which is kept as the
+//! the per-pixel [`mod@reference`] rasterizer, which is kept as the
 //! executable specification and asserted against by property tests.
 
 use crate::format::{PixelFormat, Rgba};
@@ -844,7 +844,7 @@ fn modulate_span(texel: u32, [w0, w1, w2]: [f32; 3], lane: &TexLane<'_>) -> u32 
 /// not depend on blending, texturing or the depth test (the fill loops
 /// count a fragment *before* the depth reject), so the count is a pure
 /// function of the prepared triangles. Each row's count is found with the
-/// same [`edge_interval`] search the span lane uses — O(log W) evaluations
+/// same `edge_interval` search the span lane uses — O(log W) evaluations
 /// of the exact per-pixel predicate — falling back to a scalar predicate
 /// scan when an edge term is non-finite (where monotonicity, and thus the
 /// search, is not guaranteed).
@@ -900,7 +900,7 @@ fn row_coverage(t: &ScreenTri, k: (f32, f32, f32), r: (f32, f32, f32)) -> u64 {
 /// decode→encode round trip, which is the identity on bytes for every
 /// [`PixelFormat`] (asserted exhaustively by tests). Blits where `src`
 /// aliases `dst` keep the historical read-your-own-writes semantics via
-/// the [`reference`] path.
+/// the [`mod@reference`] path.
 ///
 /// # Panics
 ///

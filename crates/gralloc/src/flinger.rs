@@ -108,7 +108,7 @@ impl SurfaceFlinger {
     ///
     /// The rectangle may extend past the panel edge; it is kept as the
     /// layer's logical geometry (so a post scales the buffer across the
-    /// whole rectangle) and [`SurfaceFlinger::present`] clips every
+    /// whole rectangle) and `SurfaceFlinger::present` clips every
     /// write to the panel — crop semantics, nothing out of bounds is
     /// ever touched.
     pub fn assign_layer(&self, handle: u64, rect: Rect) {

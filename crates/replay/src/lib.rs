@@ -82,11 +82,10 @@ impl Fault {
     }
 }
 
-/// What a replay checks and how it runs.
+/// What a replay checks and how it runs. Per-present and end-of-stream
+/// framebuffer digests are always compared.
 #[derive(Debug, Clone)]
 pub struct ReplayOptions {
-    /// Compare per-present and end-of-stream framebuffer digests.
-    pub check_digests: bool,
     /// Compare per-call virtual timestamps and metered totals. Turn off
     /// when replaying onto shared fleet devices (see module docs) or
     /// while shrinking (removing calls shifts every later timestamp).
@@ -103,7 +102,6 @@ pub struct ReplayOptions {
 impl Default for ReplayOptions {
     fn default() -> Self {
         ReplayOptions {
-            check_digests: true,
             check_timestamps: true,
             fault: None,
             rerecord: false,
@@ -474,11 +472,9 @@ fn drive(
                 presents += 1;
                 present_wall_ns.push(last_present.elapsed().as_nanos() as u64);
                 last_present = Instant::now();
-                if opts.check_digests {
-                    let digest = app.render_hash().map_err(session_err)?;
-                    if digest != a(0) {
-                        return Err(diverged(index, name, DivergenceKind::Pixels, a(0), digest));
-                    }
+                let digest = app.render_hash().map_err(session_err)?;
+                if digest != a(0) {
+                    return Err(diverged(index, name, DivergenceKind::Pixels, a(0), digest));
                 }
             }
             op::CHARGE_CPU => app.charge_cpu(arg_f64(a(0))),
@@ -503,7 +499,7 @@ fn drive(
                 let digest = app.render_hash().map_err(session_err)?;
                 let ns = app.session_virtual_ns();
                 mark(MARK_END, &[digest, ns]);
-                if opts.check_digests && digest != a(0) {
+                if digest != a(0) {
                     return Err(diverged(index, name, DivergenceKind::Pixels, a(0), digest));
                 }
                 if opts.check_timestamps && ns != a(1) {

@@ -138,7 +138,7 @@ impl FnId {
 
 /// A chunked table of default-initialized values keyed by [`FnId`].
 ///
-/// Chunks of [`CHUNK`] slots are heap-allocated on first touch, so an empty
+/// Chunks of `CHUNK` (256) slots are heap-allocated on first touch, so an empty
 /// table stays small; every slot in a touched chunk exists immediately with
 /// `T::default()`, and [`FnDense::slot`] therefore always returns a
 /// reference. Reads on the dispatch fast path are two pointer loads and an

@@ -118,10 +118,6 @@ pub enum Counter {
     IoSurfaceUnlocks,
     /// SurfaceFlinger compositions (full-screen posts and layer composes).
     Compositions,
-    /// Bridge row-bytes eviction skipped because the thread-local was
-    /// already torn down (thread exit) — each one is a scan entry that
-    /// outlives its bridge until the host thread dies.
-    RowBytesTeardownSkips,
     /// GPU device contention: a blit or the identity lane of a
     /// full-screen image draw found its target buffer's guard held and
     /// had to wait (DESIGN.md §5f). Zero when sessions render to
@@ -167,7 +163,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in declaration order.
-    pub const ALL: [Counter; 27] = [
+    pub const ALL: [Counter; 26] = [
         Counter::DiplomatCalls,
         Counter::PersonaSwitches,
         Counter::ImpersonationsBegun,
@@ -184,7 +180,6 @@ impl Counter {
         Counter::IoSurfaceLocks,
         Counter::IoSurfaceUnlocks,
         Counter::Compositions,
-        Counter::RowBytesTeardownSkips,
         Counter::DeviceLockWaits,
         Counter::GrallocLockWaits,
         Counter::FlingerLockWaits,
@@ -216,7 +211,6 @@ impl Counter {
             Counter::IoSurfaceLocks => "iosurface-locks",
             Counter::IoSurfaceUnlocks => "iosurface-unlocks",
             Counter::Compositions => "compositions",
-            Counter::RowBytesTeardownSkips => "row-bytes-teardown-skips",
             Counter::DeviceLockWaits => "device-lock-waits",
             Counter::GrallocLockWaits => "gralloc-lock-waits",
             Counter::FlingerLockWaits => "flinger-lock-waits",

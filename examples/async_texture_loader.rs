@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Dispatch async texture loads to worker "GCD" threads.
     let mut textures = Vec::new();
     for job in 0..3u8 {
-        let worker = device.spawn_ios_thread()?;
+        let worker = device.spawn_thread()?;
         // The worker implicitly takes on the submitting thread's context:
         // impersonation migrates the graphics TLS of both personas.
         eagl.set_current_context(worker, Some(ctx))?;

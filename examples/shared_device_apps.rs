@@ -53,8 +53,8 @@ fn main() -> Result<()> {
     let mut browser = AppGl::attach_cycada(&device, GlesVersion::V2)?;
     println!(
         "Attached 2 sessions (tids {:?} / {:?}); {} DLR replicas back their contexts.",
-        benchmark.cycada_session().unwrap().main_tid(),
-        browser.cycada_session().unwrap().main_tid(),
+        benchmark.session().main_tid(),
+        browser.session().main_tid(),
         device.linker().replica_count(),
     );
 

@@ -64,7 +64,7 @@ fn parallel_eagl_contexts_from_many_threads() {
         .map(|i| {
             let dev = device.clone();
             std::thread::spawn(move || {
-                let tid = dev.spawn_ios_thread().unwrap();
+                let tid = dev.spawn_thread().unwrap();
                 let version = if i % 2 == 0 {
                     GlesVersion::V1
                 } else {
@@ -105,7 +105,7 @@ fn concurrent_iosurface_traffic_is_consistent() {
         .map(|_| {
             let dev = device.clone();
             std::thread::spawn(move || {
-                let tid = dev.spawn_ios_thread().unwrap();
+                let tid = dev.spawn_thread().unwrap();
                 let iosb = dev.iosurface_bridge();
                 let surface = iosb
                     .create(tid, cycada_iosurface::SurfaceProps::bgra(8, 8))

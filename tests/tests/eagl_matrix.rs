@@ -42,7 +42,7 @@ fn rig(scenario: Scenario) -> Rig {
             main
         }
         Scenario::WrongThread => {
-            let tid2 = device.spawn_ios_thread().unwrap();
+            let tid2 = device.spawn_thread().unwrap();
             // The iOS pattern: one thread creates the context, another
             // adopts and uses it. Adoption migrates the replica
             // connection TLS via impersonation of the creator.

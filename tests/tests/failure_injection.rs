@@ -18,7 +18,7 @@ fn device() -> CycadaDevice {
 #[test]
 fn diplomat_call_on_exited_thread_fails_cleanly() {
     let dev = device();
-    let victim = dev.spawn_ios_thread().unwrap();
+    let victim = dev.spawn_thread().unwrap();
     dev.kernel().exit_thread(victim).unwrap();
     let entry = DiplomatEntry::new(
         "probe",
@@ -207,7 +207,7 @@ fn present_recovers_after_transient_gl_misuse() {
 fn impersonation_guard_drop_during_panic_restores_tls() {
     let dev = device();
     let main = dev.main_tid();
-    let worker = dev.spawn_ios_thread().unwrap();
+    let worker = dev.spawn_thread().unwrap();
     let engine = dev.engine().clone();
     engine
         .graphics_tls()
@@ -241,7 +241,7 @@ fn impersonation_guard_drop_during_panic_restores_tls() {
 fn impersonation_target_exits_before_finish_restores_all_personas() {
     let dev = device();
     let main = dev.main_tid();
-    let worker = dev.spawn_ios_thread().unwrap();
+    let worker = dev.spawn_thread().unwrap();
     let engine = dev.engine().clone();
     engine.graphics_tls().register_well_known(Persona::Ios, 31);
     engine.graphics_tls().register_well_known(Persona::Android, 30);
@@ -277,7 +277,7 @@ fn impersonation_target_exits_before_finish_restores_all_personas() {
 fn impersonation_running_thread_exits_finish_errors_cleanly() {
     let dev = device();
     let main = dev.main_tid();
-    let worker = dev.spawn_ios_thread().unwrap();
+    let worker = dev.spawn_thread().unwrap();
     let engine = dev.engine().clone();
     engine.graphics_tls().register_well_known(Persona::Android, 33);
 
@@ -291,7 +291,7 @@ fn impersonation_running_thread_exits_finish_errors_cleanly() {
     ));
     // The device is still healthy: the target thread kept its own TLS and
     // the engine serves fresh impersonations between live threads.
-    let other = dev.spawn_ios_thread().unwrap();
+    let other = dev.spawn_thread().unwrap();
     let g = engine.impersonate(other, main).unwrap();
     g.finish().unwrap();
 }
@@ -300,7 +300,7 @@ fn impersonation_running_thread_exits_finish_errors_cleanly() {
 fn impersonation_dropped_guard_after_running_exit_counts_swallowed_error() {
     let dev = device();
     let main = dev.main_tid();
-    let worker = dev.spawn_ios_thread().unwrap();
+    let worker = dev.spawn_thread().unwrap();
     let engine = dev.engine().clone();
     engine.graphics_tls().register_well_known(Persona::Android, 34);
     let before = trace::counter(trace::Counter::ImpersonationDropSwallowedErrors);

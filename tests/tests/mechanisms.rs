@@ -92,7 +92,7 @@ fn worker_thread_uses_context_created_by_another_thread() {
     // A created. Cycada bridges it with impersonation + TLS migration.
     let device = device();
     let main = device.main_tid();
-    let worker = device.spawn_ios_thread().unwrap();
+    let worker = device.spawn_thread().unwrap();
     let eagl = device.eagl();
     let bridge = device.bridge();
 
@@ -124,7 +124,7 @@ fn worker_thread_uses_context_created_by_another_thread() {
 fn impersonation_migrates_both_personas() {
     let device = device();
     let main = device.main_tid();
-    let worker = device.spawn_ios_thread().unwrap();
+    let worker = device.spawn_thread().unwrap();
     let engine = device.engine();
     let kernel = device.kernel();
 
