@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
 
 use parking_lot::Mutex;
 
@@ -61,7 +61,9 @@ struct SurfaceRecord {
 /// works around them via DLR.
 pub struct AndroidEgl {
     kernel: Arc<Kernel>,
-    linker: Arc<DynamicLinker>,
+    /// Weak: the linker's default namespace owns this library instance, so
+    /// a strong handle here would keep the whole device alive.
+    linker: Weak<DynamicLinker>,
     flinger: Arc<SurfaceFlinger>,
     allocator: GraphicBufferAllocator,
     connections: Mutex<HashMap<McConnectionId, Connection>>,
@@ -78,7 +80,7 @@ impl AndroidEgl {
     /// Creates the library state (run by `libEGL.so`'s constructor).
     pub fn new(
         kernel: Arc<Kernel>,
-        linker: Arc<DynamicLinker>,
+        linker: Weak<DynamicLinker>,
         flinger: Arc<SurfaceFlinger>,
         allocator: GraphicBufferAllocator,
     ) -> Self {
@@ -103,6 +105,12 @@ impl AndroidEgl {
         &self.flinger
     }
 
+    fn linker(&self) -> Result<Arc<DynamicLinker>> {
+        self.linker
+            .upgrade()
+            .ok_or_else(|| EglError::Lower("dynamic linker unloaded".into()))
+    }
+
     fn fresh_id(&self) -> u32 {
         self.next_id.fetch_add(1, Ordering::Relaxed)
     }
@@ -123,7 +131,7 @@ impl AndroidEgl {
         if conns.contains_key(&0) {
             return Ok(()); // idempotent re-initialization
         }
-        let vendor_lib = self.linker.dlopen(VENDOR_EGL_LIB)?;
+        let vendor_lib = self.linker()?.dlopen(VENDOR_EGL_LIB)?;
         let vendor = vendor_lib
             .state::<VendorEglState>()
             .ok_or_else(|| EglError::Lower("vendor EGL has wrong state type".into()))?;
@@ -559,7 +567,7 @@ impl AndroidEgl {
     /// Returns [`EglError::Lower`] if the replica cannot be built or lacks
     /// the vendor libraries.
     pub fn egl_reinitialize_mc(&self, tid: SimTid, root_lib: &str) -> Result<McConnectionId> {
-        let replica = self.linker.dlforce(root_lib)?;
+        let replica = self.linker()?.dlforce(root_lib)?;
         let vendor = replica
             .dlopen(VENDOR_EGL_LIB)
             .ok()
@@ -667,8 +675,8 @@ impl AndroidEgl {
             .lock()
             .remove(&id)
             .ok_or_else(|| EglError::BadParameter(format!("unknown connection {id}")))?;
-        if let Some(replica) = conn.replica {
-            self.linker.unload_replica(replica);
+        if let (Some(replica), Some(linker)) = (conn.replica, self.linker.upgrade()) {
+            linker.unload_replica(replica);
         }
         Ok(())
     }

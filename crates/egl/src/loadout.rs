@@ -106,10 +106,9 @@ pub fn register_android_graphics(
             ])
             .non_replicable() // the front is shared; only vendor libs replicate
             .constructor(move || {
-                let linker = l.upgrade().expect("linker alive during library load");
                 Arc::new(AndroidEgl::new(
                     k.clone(),
-                    linker,
+                    l.clone(),
                     f.clone(),
                     GraphicBufferAllocator::new(k.clone(), g.clone()),
                 ))

@@ -1,6 +1,7 @@
 //! Library images: the on-disk description of a `.so`.
 
 use std::any::Any;
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -14,12 +15,20 @@ pub type Constructor = Arc<dyn Fn() -> LibraryState + Send + Sync>;
 /// A registered library image: what the linker knows about a `.so` file
 /// before any instance is loaded.
 ///
+/// The image is immutable and shared: cloning it clones a pointer, so every
+/// instance and every replica of one image reads the same name, dependency
+/// list and symbol table — the same file mapped again (§8.1).
+///
 /// Use [`LibraryImage::builder`] to construct one.
 #[derive(Clone)]
-pub struct LibraryImage {
+pub struct LibraryImage(Arc<Image>);
+
+struct Image {
     name: String,
     deps: Vec<String>,
     symbols: Vec<String>,
+    /// Symbol name -> its last position in `symbols`.
+    symbol_index: HashMap<String, usize>,
     constructor: Constructor,
     replicable: bool,
 }
@@ -38,38 +47,44 @@ impl LibraryImage {
 
     /// The image (file) name, e.g. `"libGLESv2_tegra.so"`.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.0.name
     }
 
     /// Names of libraries this one depends on (DT_NEEDED entries).
     pub fn deps(&self) -> &[String] {
-        &self.deps
+        &self.0.deps
     }
 
     /// Exported symbol names.
     pub fn symbols(&self) -> &[String] {
-        &self.symbols
+        &self.0.symbols
+    }
+
+    /// Position of `symbol` in [`LibraryImage::symbols`]; a repeated name
+    /// resolves to its last position.
+    pub(crate) fn symbol_index(&self, symbol: &str) -> Option<usize> {
+        self.0.symbol_index.get(symbol).copied()
     }
 
     /// Whether `dlforce` may create fresh instances of this library.
     /// libc is marked non-replicable: "We do not reload libc; all
     /// lib\[rary\] instances use a single, shared libc instance."
     pub fn replicable(&self) -> bool {
-        self.replicable
+        self.0.replicable
     }
 
     pub(crate) fn run_constructor(&self) -> LibraryState {
-        (self.constructor)()
+        (self.0.constructor)()
     }
 }
 
 impl fmt::Debug for LibraryImage {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("LibraryImage")
-            .field("name", &self.name)
-            .field("deps", &self.deps)
-            .field("symbols", &self.symbols.len())
-            .field("replicable", &self.replicable)
+            .field("name", &self.0.name)
+            .field("deps", &self.0.deps)
+            .field("symbols", &self.0.symbols.len())
+            .field("replicable", &self.0.replicable)
             .finish()
     }
 }
@@ -125,15 +140,23 @@ impl LibraryImageBuilder {
     /// Finishes the image. Images without an explicit constructor get unit
     /// state.
     pub fn build(self) -> LibraryImage {
-        LibraryImage {
+        // Insert in order so a repeated name keeps its last position.
+        let symbol_index = self
+            .symbols
+            .iter()
+            .enumerate()
+            .map(|(i, name)| (name.clone(), i))
+            .collect();
+        LibraryImage(Arc::new(Image {
             name: self.name,
             deps: self.deps,
             symbols: self.symbols,
+            symbol_index,
             constructor: self
                 .constructor
                 .unwrap_or_else(|| Arc::new(|| Arc::new(()) as LibraryState)),
             replicable: self.replicable,
-        }
+        }))
     }
 }
 

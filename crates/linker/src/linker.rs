@@ -201,7 +201,8 @@ impl DynamicLinker {
             self.clock.charge_ns(OPEN_CACHED_NS);
             return Ok(lib.clone());
         }
-        let lib = self.load_tree(name, &mut LoadCache::Default(&mut ns), &mut Vec::new())?;
+        let image = self.image(name)?;
+        let lib = self.load_tree(image, &mut LoadCache::Default(&mut ns), &mut Vec::new())?;
         ns.loaded.insert(name.to_owned(), (lib.clone(), 1));
         Ok(lib)
     }
@@ -261,7 +262,7 @@ impl DynamicLinker {
         let mut tspan = trace::span(trace::Category::Linker, "dlforce");
         let mut replica_libs: HashMap<String, Arc<LoadedLibrary>> = HashMap::new();
         let root = self.load_tree(
-            name,
+            self.image(name)?,
             &mut LoadCache::Replica(&mut replica_libs),
             &mut Vec::new(),
         )?;
@@ -308,47 +309,44 @@ impl DynamicLinker {
     // Internals
     // ------------------------------------------------------------------
 
-    /// Recursively loads `name` and its dependencies, reusing instances
+    /// The registered image called `name`.
+    fn image(&self, name: &str) -> Result<LibraryImage> {
+        self.images
+            .lock()
+            .get(name)
+            .cloned()
+            .ok_or_else(|| LinkerError::LibraryNotFound(name.to_owned()))
+    }
+
+    /// Recursively loads `image` and its dependencies, reusing instances
     /// already present in `cache` (the target namespace). Non-replicable
     /// dependencies always resolve through the default namespace, even from
     /// a replica load.
     fn load_tree(
         &self,
-        name: &str,
+        image: LibraryImage,
         cache: &mut LoadCache<'_>,
         chain: &mut Vec<String>,
     ) -> Result<Arc<LoadedLibrary>> {
+        let name = image.name();
         if chain.iter().any(|c| c == name) {
             chain.push(name.to_owned());
             return Err(LinkerError::CircularDependency(chain.clone()));
         }
         chain.push(name.to_owned());
 
-        let image = self
-            .images
-            .lock()
-            .get(name)
-            .cloned()
-            .ok_or_else(|| LinkerError::LibraryNotFound(name.to_owned()))?;
-
-        let mut deps = Vec::new();
-        for dep_name in image.deps().to_vec() {
-            let dep_image = self
-                .images
-                .lock()
-                .get(&dep_name)
-                .cloned()
-                .ok_or_else(|| LinkerError::LibraryNotFound(dep_name.clone()))?;
-
+        let mut deps = Vec::with_capacity(image.deps().len());
+        for dep_name in image.deps() {
+            let dep_image = self.image(dep_name)?;
             let dep = if !dep_image.replicable() && matches!(cache, LoadCache::Replica(_)) {
                 // libc-style: a replica still links the single shared
                 // default-namespace instance.
-                self.shared_instance(&dep_name, chain)?
-            } else if let Some(existing) = cache.get(&dep_name) {
+                self.shared_instance(dep_image, chain)?
+            } else if let Some(existing) = cache.get(dep_name) {
                 existing
             } else {
-                let loaded = self.load_tree(&dep_name, cache, chain)?;
-                cache.insert(&dep_name, loaded.clone());
+                let loaded = self.load_tree(dep_image, cache, chain)?;
+                cache.insert(dep_name, loaded.clone());
                 loaded
             };
             deps.push(dep);
@@ -363,15 +361,15 @@ impl DynamicLinker {
     /// the default-namespace lock.
     fn shared_instance(
         &self,
-        name: &str,
+        image: LibraryImage,
         chain: &mut Vec<String>,
     ) -> Result<Arc<LoadedLibrary>> {
         let mut ns = self.default_ns.lock();
-        if let Some((lib, _)) = ns.loaded.get(name) {
+        if let Some((lib, _)) = ns.loaded.get(image.name()) {
             return Ok(lib.clone());
         }
-        let lib = self.load_tree(name, &mut LoadCache::Default(&mut ns), chain)?;
-        ns.loaded.insert(name.to_owned(), (lib.clone(), 1));
+        let lib = self.load_tree(image, &mut LoadCache::Default(&mut ns), chain)?;
+        ns.loaded.insert(lib.name().to_owned(), (lib.clone(), 1));
         Ok(lib)
     }
 
@@ -379,11 +377,14 @@ impl DynamicLinker {
         let instance = InstanceId(self.next_instance.fetch_add(1, Ordering::Relaxed));
         // Each mapping gets a disjoint 1 MiB VA window.
         let base_va = self.next_base_va.fetch_add(0x10_0000, Ordering::Relaxed);
-        *self
-            .constructor_runs
-            .lock()
-            .entry(image.name().to_owned())
-            .or_insert(0) += 1;
+        let mut runs = self.constructor_runs.lock();
+        match runs.get_mut(image.name()) {
+            Some(n) => *n += 1,
+            None => {
+                runs.insert(image.name().to_owned(), 1);
+            }
+        }
+        drop(runs);
         self.clock.charge_ns(LOAD_FRESH_NS);
         Arc::new(LoadedLibrary::new(image, instance, base_va, deps))
     }

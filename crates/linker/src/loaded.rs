@@ -1,7 +1,6 @@
 //! Loaded library instances.
 
 use std::any::Any;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -29,15 +28,14 @@ pub struct SymbolAddr {
 
 /// One loaded instance of a library image.
 ///
-/// Holds the instance's unique virtual address range, its resolved symbol
-/// table, the per-instance state produced by the constructor, and strong
-/// references to the dependency instances it was linked against — an
-/// isolated tree under DLR.
+/// Shares its image's symbol table with every other instance of that image;
+/// it owns only its unique base virtual address, the per-instance state
+/// produced by the constructor, and strong references to the dependency
+/// instances it was linked against — an isolated tree under DLR.
 pub struct LoadedLibrary {
     image: LibraryImage,
     instance: InstanceId,
     base_va: u64,
-    symbols: HashMap<String, u64>,
     state: LibraryState,
     deps: Vec<Arc<LoadedLibrary>>,
 }
@@ -49,18 +47,11 @@ impl LoadedLibrary {
         base_va: u64,
         deps: Vec<Arc<LoadedLibrary>>,
     ) -> Self {
-        let symbols = image
-            .symbols()
-            .iter()
-            .enumerate()
-            .map(|(i, name)| (name.clone(), base_va + 0x10 * (i as u64 + 1)))
-            .collect();
         let state = image.run_constructor();
         LoadedLibrary {
             image,
             instance,
             base_va,
-            symbols,
             state,
             deps,
         }
@@ -93,10 +84,11 @@ impl LoadedLibrary {
         self.state.clone().downcast::<T>().ok()
     }
 
-    /// Looks up a symbol in this instance only (no dependency search).
+    /// Looks up a symbol in this instance only (no dependency search). The
+    /// `i`-th exported symbol lives at `base_va + 0x10 * (i + 1)`.
     pub fn local_symbol(&self, symbol: &str) -> Option<SymbolAddr> {
-        self.symbols.get(symbol).map(|&va| SymbolAddr {
-            va,
+        self.image.symbol_index(symbol).map(|i| SymbolAddr {
+            va: self.base_va + 0x10 * (i as u64 + 1),
             instance: self.instance,
         })
     }
@@ -218,6 +210,25 @@ mod tests {
         let tree = b.tree();
         let names: Vec<&str> = tree.iter().map(|l| l.name()).collect();
         assert_eq!(names, ["libb.so", "libc.so", "liba.so"]);
+    }
+
+    #[test]
+    fn instances_and_replicas_share_one_symbol_table() {
+        let image = LibraryImage::builder("libs.so").symbols(["f", "g"]).build();
+        let a = LoadedLibrary::new(image.clone(), InstanceId(1), 0x1000, Vec::new());
+        let b = LoadedLibrary::new(image, InstanceId(2), 0x2000, Vec::new());
+        assert!(std::ptr::eq(a.image.symbols().as_ptr(), b.image.symbols().as_ptr()));
+        assert_ne!(a.local_symbol("g").unwrap().va, b.local_symbol("g").unwrap().va);
+
+        let linker = crate::DynamicLinker::new(cycada_sim::VirtualClock::new());
+        linker.register_image(LibraryImage::builder("libr.so").symbols(["h"]).build());
+        let r1 = linker.dlforce("libr.so").unwrap();
+        let r2 = linker.dlforce("libr.so").unwrap();
+        assert!(std::ptr::eq(
+            r1.root().image.symbols().as_ptr(),
+            r2.root().image.symbols().as_ptr(),
+        ));
+        assert_ne!(r1.root().instance_id(), r2.root().instance_id());
     }
 
     #[test]

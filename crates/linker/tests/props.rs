@@ -1,5 +1,6 @@
 //! Property-based tests for the DLR-enabled dynamic linker.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use proptest::prelude::*;
@@ -95,6 +96,33 @@ proptest! {
             let a = shared.symbol(&name).unwrap();
             let b = replica.dlsym(&name).unwrap();
             prop_assert_ne!(a.va, b.va, "{} must relocate", name);
+        }
+    }
+
+    #[test]
+    fn local_symbol_matches_a_last_insert_wins_table(
+        ids in prop::collection::vec(0u8..12, 0..40),
+        earlier_loads in 0usize..6,
+    ) {
+        // Names drawn from a small alphabet, so most lists repeat some.
+        let names: Vec<String> = ids.iter().map(|n| format!("sym{n}")).collect();
+        let linker = DynamicLinker::new(VirtualClock::new());
+        linker.register_image(LibraryImage::builder("libp.so").symbols(names.clone()).build());
+        // Each earlier load moves the next instance to a new base VA.
+        for _ in 0..earlier_loads {
+            linker.dlforce("libp.so").unwrap();
+        }
+        let lib = linker.dlforce("libp.so").unwrap().root().clone();
+
+        let mut oracle = HashMap::new();
+        for (i, name) in names.iter().enumerate() {
+            oracle.insert(name.clone(), lib.base_va() + 0x10 * (i as u64 + 1));
+        }
+        for n in 0u8..14 {
+            let name = format!("sym{n}");
+            let got = lib.local_symbol(&name);
+            prop_assert_eq!(got.map(|a| a.va), oracle.get(&name).copied(), "{}", name);
+            prop_assert!(got.is_none_or(|a| a.instance == lib.instance_id()));
         }
     }
 
