@@ -80,6 +80,19 @@ fn bench_fullscreen_tri(c: &mut Criterion) {
     });
 }
 
+/// A fullscreen triangle whose vertex colour is not 0/1 in any channel
+/// (passmark's triangle shape): every channel takes the interpolate and
+/// quantize path of the colour lane rather than the flat 0/1 shortcut.
+fn bench_color_tri(c: &mut Criterion) {
+    let verts = fullscreen_tri(Rgba { r: 0.8, g: 0.4, b: 0.2, a: 0.9 });
+    let indices = [0u32, 1, 2];
+    let pipeline = Pipeline::default();
+    let img = Image::new(W, H, PixelFormat::Rgba8888);
+    c.bench_function("raster/color_tri_spans", |b| {
+        b.iter(|| black_box(raster::draw_indexed(&img, None, &verts, &indices, &pipeline)))
+    });
+}
+
 /// A draw of a few hundred pixels, where per-draw setup weighs in.
 fn bench_small_tri(c: &mut Criterion) {
     let verts = vec![
@@ -114,6 +127,12 @@ fn bench_textured_tri(c: &mut Criterion) {
     });
     c.bench_function("raster/textured_tri_spans", |b| {
         b.iter(|| black_box(raster::draw_indexed(&img, None, &verts, &indices, &pipeline)))
+    });
+    // The EAGL drawable shape: an RGBA texture into a BGRA target, so
+    // the gather pass swaps R and B on every texel.
+    let bgra = Image::new(W, H, PixelFormat::Bgra8888);
+    c.bench_function("raster/textured_swap_spans", |b| {
+        b.iter(|| black_box(raster::draw_indexed(&bgra, None, &verts, &indices, &pipeline)))
     });
 }
 
@@ -164,6 +183,7 @@ criterion_group!(
     raster_plane,
     bench_clear,
     bench_fullscreen_tri,
+    bench_color_tri,
     bench_small_tri,
     bench_textured_tri,
     bench_blit,

@@ -92,13 +92,10 @@ impl FleetConfig {
             devices: devices.max(1),
             sessions,
             frames: 4,
-            // At least 4 workers even on small hosts: the orchestrator
-            // is about interleaving, and oversubscribed workers still
-            // time-slice — collapsing to 1 would test nothing.
-            workers: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-                .clamp(4, 8),
+            // One worker per core: more only time-slice, which shows up
+            // as frame-latency tail. Tests that want oversubscription set
+            // `workers` themselves.
+            workers: host_cores(),
             seed: 0xC1CADA,
             display: (48, 32),
             deadline_ns: 2_000_000_000,
@@ -146,6 +143,11 @@ impl FleetConfig {
         }
         self
     }
+}
+
+/// The host's available parallelism, at least 1.
+fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 fn env_usize(name: &str) -> Option<usize> {

@@ -46,7 +46,7 @@ pub fn report_json(report: &FleetReport) -> String {
     let frames_total: usize = report.outcomes.iter().map(|o| o.frame_wall_ns.len()).sum();
     write!(
         out,
-        "{{\"name\":\"{}\",\"devices\":{},\"sessions\":{},\"workers\":{},\
+        "{{\"name\":\"{}\",\"devices\":{},\"sessions\":{},\"workers\":{},\"host_cores\":{},\
          \"frames_per_session\":{},\"seed\":{},\"display\":[{},{}],\
          \"wall_ms\":{:.3},\"frames_total\":{},\"throughput_fps\":{:.1},\
          \"attach_ns\":{},\"frame_ns\":{},\"deadline_misses\":{}",
@@ -54,6 +54,7 @@ pub fn report_json(report: &FleetReport) -> String {
         report.devices.len(),
         report.outcomes.len(),
         report.workers,
+        crate::host_cores(),
         report.frames_per_session,
         report.seed,
         report.display.0,

@@ -1163,20 +1163,33 @@ impl GlesContext {
             }
         }
         if depth {
-            if let Some(d) = self.depth_for(&target) {
-                d.fill(f32::INFINITY);
+            // Only a buffer a depth-tested draw made is filled. Any other
+            // is dropped: the next depth-tested draw then gets a fresh
+            // all-`INFINITY` buffer from `depth_for`, the same state, and
+            // scenes that never test depth never allocate one.
+            let needed = target.pixel_count() as usize;
+            if let Some(slot) = self.depth_slot() {
+                match slot {
+                    Some(d) if d.len() == needed => d.fill(f32::INFINITY),
+                    _ => *slot = None,
+                }
             }
+        }
+    }
+
+    /// The depth buffer slot of the bound framebuffer, or `None` when the
+    /// bound name has no framebuffer object.
+    fn depth_slot(&mut self) -> Option<&mut Option<Vec<f32>>> {
+        if self.bound_framebuffer == 0 {
+            Some(&mut self.default_depth)
+        } else {
+            Some(&mut self.framebuffers.get_mut(&self.bound_framebuffer)?.depth)
         }
     }
 
     fn depth_for(&mut self, target: &Image) -> Option<&mut Vec<f32>> {
         let needed = target.pixel_count() as usize;
-        let slot = if self.bound_framebuffer == 0 {
-            &mut self.default_depth
-        } else {
-            let fb = self.framebuffers.get_mut(&self.bound_framebuffer)?;
-            &mut fb.depth
-        };
+        let slot = self.depth_slot()?;
         match slot {
             Some(d) if d.len() == needed => {}
             _ => *slot = Some(vec![f32::INFINITY; needed]),
@@ -1986,6 +1999,80 @@ mod tests {
         c.draw_arrays(Primitive::Triangles, 0, 3);
         let fb = c.default_framebuffer().unwrap();
         assert_eq!(fb.pixel_rgba(16, 16).to_bytes(), [0, 255, 0, 255]);
+    }
+
+    /// Two triangles whose depths cross, drawn with `DepthTest` on, so
+    /// each wins over part of the other. `dz` pushes both back: drawn
+    /// over stale depths from a nearer pass, they would lose everywhere.
+    fn crossing_depth_scene(c: &mut GlesContext, dz: f32) {
+        c.enable(Capability::DepthTest);
+        c.set_client_state(ClientState::VertexArray, true);
+        c.client_pointer(
+            ClientState::VertexArray,
+            3,
+            &[-1.0, -1.0, 0.2 + dz, 1.0, -1.0, 0.2 + dz, 0.0, 1.0, 0.2 + dz],
+        );
+        c.color4f(0.0, 1.0, 0.0, 1.0);
+        c.draw_arrays(Primitive::Triangles, 0, 3);
+        c.client_pointer(
+            ClientState::VertexArray,
+            3,
+            &[-1.0, 1.0, -0.6 + dz, 1.0, 1.0, -0.6 + dz, 0.0, -1.0, 0.9 + dz],
+        );
+        c.color4f(1.0, 0.0, 0.0, 1.0);
+        c.draw_arrays(Primitive::Triangles, 0, 3);
+    }
+
+    #[test]
+    fn depth_clear_then_depth_test_matches_reference_raster() {
+        // A depth clear before any depth-tested draw allocates nothing,
+        // and one after a surface-size change drops the stale buffer; the
+        // next depth-tested draw must still start from a cleared buffer.
+        // Covers the default framebuffer and a framebuffer object whose
+        // colour texture is re-specified at another size.
+        let run = |reference: bool, resize: bool| {
+            let device = Arc::new(GpuDevice::new(VirtualClock::new(), GpuCostModel::tegra3()));
+            device.set_reference_raster(reference);
+            let mut c = GlesContext::new(GlesVersion::V1, ApiFlavor::Android, device);
+            c.set_default_framebuffer(Some(Image::new(32, 32, PixelFormat::Rgba8888)));
+            c.clear_color(0.0, 0.0, 1.0, 1.0);
+            c.clear(true, true);
+            if resize {
+                c.set_default_framebuffer(Some(Image::new(24, 20, PixelFormat::Rgba8888)));
+                c.set_viewport(0, 0, 24, 20);
+            }
+            crossing_depth_scene(&mut c, 0.0);
+            c.clear(true, true);
+            crossing_depth_scene(&mut c, 0.05);
+            let window = c.default_framebuffer().unwrap().to_rgba_vec();
+
+            let tex = c.gen_textures(1)[0];
+            c.bind_texture(tex);
+            c.tex_image_2d(16, 16, TexFormat::Rgba, None);
+            let fb = c.gen_framebuffers(1)[0];
+            c.bind_framebuffer(fb);
+            c.framebuffer_texture(tex);
+            c.set_viewport(0, 0, 16, 16);
+            c.clear(true, true);
+            crossing_depth_scene(&mut c, 0.0);
+            if resize {
+                c.tex_image_2d(12, 10, TexFormat::Rgba, None);
+                c.set_viewport(0, 0, 12, 10);
+            }
+            c.clear(true, true);
+            crossing_depth_scene(&mut c, 0.05);
+            assert_eq!(c.get_error(), GlError::NoError);
+            (window, c.texture_image(tex).unwrap().to_rgba_vec())
+        };
+        for resize in [false, true] {
+            let spans = run(false, resize);
+            assert_eq!(spans, run(true, resize), "resize = {resize}");
+            for pixels in [&spans.0, &spans.1] {
+                // Both triangles win somewhere: the depth test is live.
+                assert!(pixels.chunks_exact(4).any(|p| p == [0, 255, 0, 255]));
+                assert!(pixels.chunks_exact(4).any(|p| p == [255, 0, 0, 255]));
+            }
+        }
     }
 
     #[test]

@@ -678,8 +678,8 @@ const SPAN_TILE: usize = 128;
 /// coverage test exactly. Second, the shading passes repeat the scalar
 /// lane's weight, interpolation, sampling and [`quantize_unit`]
 /// expressions verbatim — the same arithmetic, merely restructured so the
-/// weight pass vectorizes: no coverage test, `i32` quantize casts, and
-/// packed `u32` stores.
+/// weight pass vectorizes: no coverage test, cast-free quantize and texel
+/// index, and packed `u32` stores.
 #[inline]
 fn fill_row_span(
     bytes: &mut [u8],
@@ -756,14 +756,33 @@ const UNIT: [f32; 256] = {
 /// which tests check for every byte.
 const WHITE_BAND: (f32, f32) = (0.9981, 1.0019);
 
-/// [`texel_index`] with a truncating cast in place of libm `floor`: on the
-/// clamped domain `[0, size]` truncation and `floor` give the same
-/// integer, and NaN maps to 0 through both. `size_f` is `size as f32` and
-/// `last` is `size - 1`, for `1 <= size <= i32::MAX` (where a saturated
-/// cast still lands on `last`).
+/// `floor(y)` for `y` in `[0, 2^23)`, as an integer, with lane-wise IEEE
+/// operations only: the [`MAGIC`] add rounds to nearest, and a rounding
+/// that went up (`r - MAGIC > y`) is taken back by one.
+#[inline(always)]
+fn floor_small(y: f32) -> i32 {
+    let r = y + MAGIC;
+    (r.to_bits() - MAGIC.to_bits()) as i32 - i32::from(r - MAGIC > y)
+}
+
+/// [`texel_index`] without libm `floor` or a float→int cast (see
+/// [`quantize_unit`] for why a cast scalarizes the span lane). `size_f`
+/// is `size as f32` and `last` is `size - 1`, for `1 <= size <= i32::MAX`.
+///
+/// [`unit_clamp`] maps NaN to 0, as the cast in `texel_index` does, so
+/// `y = clamped * size_f` lies in `[0, 2^31]`. [`floor_small`] is exact
+/// only below `2^23`, so `y` is split: `h = y / 2^16` is exact (a power
+/// of two scale; it rounds only for subnormal `h`, whose floor is 0
+/// either way), and `y - floor(h) * 2^16` is exact and below `2^16`.
+/// Flooring both parts gives `floor(y) = floor(h) * 2^16 + floor(lo)`,
+/// which fits a `u32`, and the unsigned `min` against `last` is the
+/// clamp-to-edge.
 #[inline(always)]
 fn texel_index_trunc(coord: f32, size_f: f32, last: i32) -> i32 {
-    ((coord.clamp(0.0, 1.0) * size_f) as i32).min(last)
+    let y = unit_clamp(coord) * size_f;
+    let hi = floor_small(y * (1.0 / 65_536.0));
+    let lo = floor_small(y - hi as f32 * 65_536.0);
+    (((hi as u32) << 16) + lo as u32).min(last as u32) as i32
 }
 
 /// Swaps bytes 0 and 2 of a packed pixel: RGBA ↔ BGRA.
@@ -774,9 +793,11 @@ fn swap_rb(px: u32) -> u32 {
 
 /// Shades the textured pixels `px..px + buf.len()` of a covered span: a
 /// vectorizable pass computes the weights and texel coordinates, then a
-/// gather pass reads each texel as bytes ([`UNIT`] in place of `decode`)
-/// and, for white vertex colours inside [`WHITE_BAND`], stores it
-/// unchanged.
+/// gather pass reads each texel as one word and, for white vertex colours
+/// inside [`WHITE_BAND`], stores it unchanged. Other pixels recompute
+/// their weights (a pure function of the column, so bit-identical) and
+/// take [`modulate_span`], which reads bytes through [`UNIT`] in place of
+/// `decode`.
 #[inline]
 fn shade_textured(
     buf: &mut [u32],
@@ -791,27 +812,25 @@ fn shade_textured(
     let (wf, hf) = (tex.width as f32, tex.height as f32);
     let (wl, hl) = (tex.width as i32 - 1, tex.height as i32 - 1);
     let [us, vs] = &lane.uv;
-    let mut w = [[0.0f32; SPAN_TILE]; 3];
     let mut tx = [0i32; SPAN_TILE];
     let mut ty = [0i32; SPAN_TILE];
     let mut in_band = [false; SPAN_TILE];
     for i in 0..n {
         let [w0, w1, w2] = weights(t, k, r, px + i as u32);
-        (w[0][i], w[1][i], w[2][i]) = (w0, w1, w2);
         tx[i] = texel_index_trunc(w0 * us[0] + w1 * us[1] + w2 * us[2], wf, wl);
         ty[i] = texel_index_trunc(w0 * vs[0] + w1 * vs[1] + w2 * vs[2], hf, hl);
         let s = w0 + w1 + w2;
         in_band[i] = lane.white & (s >= WHITE_BAND.0) & (s <= WHITE_BAND.1);
     }
+    let (bytes, row_bytes, swap) = (tex.bytes, tex.row_bytes, lane.swap_rb);
     for i in 0..n {
-        let off = ty[i] as usize * tex.row_bytes + tx[i] as usize * 4;
-        let raw = &tex.bytes[off..off + 4];
-        let raw = u32::from_le_bytes([raw[0], raw[1], raw[2], raw[3]]);
-        let texel = if lane.swap_rb { swap_rb(raw) } else { raw };
+        let off = ty[i] as usize * row_bytes + tx[i] as usize * 4;
+        let raw = u32::from_le_bytes(bytes[off..off + 4].try_into().expect("4-byte texel"));
+        let texel = if swap { swap_rb(raw) } else { raw };
         buf[i] = if in_band[i] {
             texel
         } else {
-            modulate_span(texel, [w[0][i], w[1][i], w[2][i]], lane)
+            modulate_span(texel, weights(t, k, r, px + i as u32), lane)
         };
     }
 }
@@ -947,7 +966,9 @@ pub fn blit(src: &Image, src_rect: Rect, dst: &Image, dst_rect: Rect) -> u64 {
         // bytes 0 and 2 swapped, and per-channel decode→encode is the
         // byte identity (asserted exhaustively by tests), so the
         // reference's float round trip reduces to a pure byte swizzle.
-        // This is the present chain's drawable→staging copy shape.
+        // This is the present chain's drawable→staging copy shape. Each
+        // pixel is swapped as one word with `swap_rb`'s masks, a loop
+        // the compiler vectorizes to four pixels per SSE2 op.
         let row_len = dst_rect.w as usize * 4;
         for dy in 0..dst_rect.h {
             let soff = (src_rect.y + dy) as usize * srb + src_rect.x as usize * 4;
@@ -956,10 +977,8 @@ pub fn blit(src: &Image, src_rect: Rect, dst: &Image, dst_rect: Rect) -> u64 {
                 .chunks_exact_mut(4)
                 .zip(sguard[soff..soff + row_len].chunks_exact(4))
             {
-                d[0] = s[2];
-                d[1] = s[1];
-                d[2] = s[0];
-                d[3] = s[3];
+                let px = u32::from_le_bytes(s.try_into().expect("4-byte pixel"));
+                d.copy_from_slice(&swap_rb(px).to_le_bytes());
             }
         }
     } else {
@@ -1079,30 +1098,49 @@ fn edge(a: [f32; 3], b: [f32; 3], p: [f32; 3]) -> f32 {
     (p[0] - a[0]) * (b[1] - a[1]) - (p[1] - a[1]) * (b[0] - a[0])
 }
 
+/// `2^23` as `f32`: adding it to any `x` in `[0, 2^23)` lands the sum in
+/// `[2^23, 2^24)`, where the `f32` spacing is exactly 1, so the add rounds
+/// `x` to an integer (to nearest, ties to even) and that integer is the
+/// sum's low mantissa bits.
+const MAGIC: f32 = 8_388_608.0;
+
+/// `v` clamped to `[0, 1]`, with NaN mapped to 0.0 (a comparison with
+/// NaN is false). Not `v.clamp(0.0, 1.0)`, which returns NaN for NaN:
+/// every caller needs NaN scrubbed before its magic-constant round. Each
+/// select is one packed `maxps`/`minps`, whose operand order gives
+/// exactly this NaN result.
+#[inline(always)]
+fn unit_clamp(v: f32) -> f32 {
+    let v = if v > 0.0 { v } else { 0.0 };
+    if v < 1.0 {
+        v
+    } else {
+        1.0
+    }
+}
+
 /// Quantizes one linear color component exactly as [`Rgba::to_bytes`]
-/// does (clamp → ×255 → round half away from zero), but with a truncating
-/// cast and an explicit half-up carry instead of the `round()` intrinsic,
-/// which lowers to a libm call on baseline x86-64 and dominated the
-/// per-fragment cost of the raster plane.
+/// does (clamp → ×255 → round half away from zero), with lane-wise IEEE
+/// operations only. A float→int `as` cast would be shorter, but Rust
+/// makes it saturating with a defined result for NaN, so inside the span
+/// lanes LLVM lowers it to a branchy scalar sequence per lane; this body
+/// vectorizes to packed `max`/`min`/`add`/`cmp` and integer `sub`.
 ///
-/// Bit-for-bit equivalence: after the clamp, `x = v*255 ∈ [0, 255]`, so
-/// `x as i32` is the exact integer part and `x - i` is exactly
-/// representable (the fractional bits of a sub-2^8 f32 fit in the
-/// mantissa), making `i + (frac >= 0.5)` precisely round-half-away for
-/// non-negative input. NaN saturates to 0 through both code paths.
-/// Asserted against `to_bytes` over a dense sweep of the f32 bit space by
-/// tests.
-///
-/// The intermediate is `i32` rather than `u32` deliberately: the only
-/// reachable inputs of the cast are `[-0.0, 255]` and NaN, where the two
-/// saturating casts agree, and `i32 → f32` is a single `cvtdq2ps` when
-/// the span lane vectorizes, while `u32 → f32` needs a multi-instruction
-/// fix-up sequence on SSE2.
+/// Bit-for-bit equivalence: [`unit_clamp`] maps NaN to 0.0 (what the
+/// cast did), so after the clamp `x = v*255 ∈ [0, 255]` and is never NaN.
+/// `r = x + MAGIC` is `x` rounded to nearest-even plus `2^23`, so
+/// `r.to_bits() - MAGIC.to_bits()` is that integer. Both `r - MAGIC` and
+/// `x - (r - MAGIC)` are exact in this range, and the difference is
+/// `0.5` exactly when a tie was rounded down to even; adding 1 there
+/// turns ties-to-even into round-half-away. Asserted against `to_bytes`
+/// over a dense sweep of the f32 bit space by tests, and over every bit
+/// pattern by an ignored release test.
 #[inline]
 fn quantize_unit(v: f32) -> u8 {
-    let x = v.clamp(0.0, 1.0) * 255.0;
-    let i = x as i32;
-    (i + i32::from(x - i as f32 >= 0.5)) as u8
+    let x = unit_clamp(v) * 255.0;
+    let r = x + MAGIC;
+    let tie = x - (r - MAGIC) == 0.5;
+    (r.to_bits() - MAGIC.to_bits() + u32::from(tie)) as u8
 }
 
 /// [`PixelFormat::encode`] with [`quantize_unit`] in place of
@@ -1863,6 +1901,24 @@ mod tests {
             }
             bits = next;
         }
+    }
+
+    #[test]
+    #[ignore = "all 2^32 f32 bit patterns: run in release with --ignored"]
+    fn quantize_unit_matches_to_bytes_for_every_f32() {
+        let reference = |v: f32| (v.clamp(0.0, 1.0) * 255.0).round() as u8;
+        // One thread per sign half keeps a release run well under a
+        // minute on two cores.
+        std::thread::scope(|s| {
+            for sign in [0u32, 1 << 31] {
+                s.spawn(move || {
+                    for bits in sign..=sign | (u32::MAX >> 1) {
+                        let v = f32::from_bits(bits);
+                        assert_eq!(quantize_unit(v), reference(v), "bits = {bits:#010x}");
+                    }
+                });
+            }
+        });
     }
 
     #[test]
